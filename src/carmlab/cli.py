@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_parse_int)
     p.add_argument("--exact", action="store_true",
                    help="totient-based census (Carmichael numbers and primes only)")
-    p.add_argument("--brute", action="store_true",
-                   help="force the brute-force census (the default)")
     p.add_argument("--cap", type=_parse_int, default=DEFAULT_BRUTE_FORCE_CAP)
     _output_flags(p)
     p.set_defaults(handler=cmd_census)

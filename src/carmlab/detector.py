@@ -7,10 +7,12 @@ proportion stays under the threshold (Carmichael) or the marked bases are
 scanned for one coprime to n (a non-trivial witness proves "other
 composite"; none found means Carmichael).
 
-detect_carmichael_general runs the same sampling on arbitrary n >= 2 and,
-when the outcome lands on the Carmichael side, splits it with the
-deterministic primality test: Carmichael numbers and primes are exactly
-the n without non-trivial witnesses.
+detect_carmichael_general accepts any n >= 2 and runs the primality test
+first. A composite goes on to the composite detector. A prime is labelled
+Prime at once: every base is a Fermat liar for a prime, so its t draws
+would find 0 witnesses, and the verdict reports t and 0 witnesses without
+making them. Above DETERMINISTIC_WITNESS_BOUND that test is probabilistic,
+and such a Prime verdict carries probabilistic=True.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .randutil import uniform_below
 
 SEED_MASK = (1 << 64) - 1
 DEFAULT_THRESHOLD = Fraction(45, 100)
-
-SAMPLING_WITH_REPLACEMENT = "WithReplacement"
 
 
 class Label(Enum):
@@ -62,15 +62,12 @@ class DetectorConfig:
     t_override: int | None = None          # default: floor((ln n)^2)
     threshold: Fraction = DEFAULT_THRESHOLD
     rng_seed: int = 0
-    sampling: str = SAMPLING_WITH_REPLACEMENT
 
     def __post_init__(self):
         if self.t_override is not None and self.t_override < 1:
             raise DomainError(f"t must be >= 1, got {self.t_override}")
         if not 0 < self.threshold < 1:
             raise DomainError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.sampling != SAMPLING_WITH_REPLACEMENT:
-            raise DomainError(f"unsupported sampling mode {self.sampling!r}")
 
     def sample_size(self, n: int) -> int:
         return self.t_override if self.t_override is not None else default_sample_size(n)
@@ -86,12 +83,15 @@ class Verdict:
     evidence: tuple[int, int] | None  # (a, gcd(a, n)) exhibiting a coprime witness
     threshold: Fraction
     seed: int
+    probabilistic: bool = False  # a Prime verdict from the probabilistic primality regime
 
     def __post_init__(self):
         if self.witnesses_found > self.sample_size:
             raise DomainError("witnesses_found cannot exceed sample_size")
         if self.label is Label.OTHER_COMPOSITE and self.evidence is None:
             raise DomainError("OtherComposite requires witness evidence")
+        if self.probabilistic and self.label is not Label.PRIME:
+            raise DomainError("only a Prime verdict can be probabilistic")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "label": self.label.value, "basis": self.basis.value,
@@ -99,7 +99,7 @@ class Verdict:
                 "threshold": f"{self.threshold.numerator}/{self.threshold.denominator}",
                 "witnesses_found": self.witnesses_found,
                 "evidence_a": self.evidence[0] if self.evidence else None,
-                "seed": self.seed}
+                "seed": self.seed, "probabilistic": self.probabilistic}
 
 
 def _sample_witnesses(n: int, cfg: DetectorConfig) -> tuple[int, list[int]]:
@@ -145,34 +145,17 @@ def detect_carmichael_composite(n: int, cfg: DetectorConfig | None = None) -> Ve
 def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verdict:
     """Classify any n >= 2 as Prime, Carmichael, or OtherComposite.
 
-    Same sampling phase as the composite-only detector; only when the
-    outcome lands on the {Carmichael, Prime} side does the deterministic
-    primality test run to split the two, preserving the cheap path for
-    everything a witness already settles.
+    The primality test runs first. A composite n gets the composite
+    detector's verdict; a prime gets a Prime verdict with t draws and 0
+    witnesses reported, without drawing, since a prime has no Fermat witness.
     """
     if n < 2:
         raise DomainError(f"classification needs n >= 2, got {n}")
     cfg = cfg or DetectorConfig()
-    t, witnesses = _sample_witnesses(n, cfg)
-    common = dict(n=n, sample_size=t, witnesses_found=len(witnesses),
-                  threshold=cfg.threshold, seed=cfg.rng_seed)
-    carmichael_side_basis = None
-    if Fraction(len(witnesses), t) < cfg.threshold:
-        carmichael_side_basis = Basis.PROPORTION_BELOW_THRESHOLD
-    else:
-        evidence = None
-        for a in witnesses:
-            g = math.gcd(a, n)
-            if g == 1:
-                evidence = (a, g)
-                break
-        if evidence is not None:
-            return Verdict(label=Label.OTHER_COMPOSITE,
-                           basis=Basis.NON_TRIVIAL_WITNESS_FOUND,
-                           evidence=evidence, **common)
-        carmichael_side_basis = Basis.NO_NON_TRIVIAL_WITNESS_FOUND
-    if prime_check(n).is_prime:
-        return Verdict(label=Label.PRIME, basis=Basis.DETERMINISTIC_PRIMALITY,
-                       evidence=None, **common)
-    return Verdict(label=Label.CARMICHAEL, basis=carmichael_side_basis,
-                   evidence=None, **common)
+    check = prime_check(n)
+    if not check.is_prime:
+        return detect_carmichael_composite(n, cfg)
+    return Verdict(n=n, label=Label.PRIME, basis=Basis.DETERMINISTIC_PRIMALITY,
+                   sample_size=cfg.sample_size(n), witnesses_found=0, evidence=None,
+                   threshold=cfg.threshold, seed=cfg.rng_seed,
+                   probabilistic=check.probabilistic)

@@ -50,10 +50,11 @@ VERDICT_SCHEMA = {
         "witnesses_found": {"type": "integer", "minimum": 0},
         "evidence_a": {"type": ["integer", "null"]},
         "seed": {"type": "integer"},
+        "probabilistic": {"type": "boolean"},
         "manifest": MANIFEST_SCHEMA,
     },
     "required": ["n", "label", "basis", "t", "threshold",
-                 "witnesses_found", "evidence_a", "seed"],
+                 "witnesses_found", "evidence_a", "seed", "probabilistic"],
 }
 
 BOUND_SCHEMA = {

@@ -34,6 +34,14 @@ class TestCensusCommand:
         assert payload["count_B"] == 8
         assert payload["manifest"]["command"] == "census"
 
+    def test_json_payload_for_561(self, capsys):
+        payload = run_json(capsys, "census", "561", "--json")
+        manifest = payload.pop("manifest")
+        assert payload == {"n": 561, "count_A": 320, "count_B": 0, "count_C": 240,
+                           "proportion_num": 3, "proportion_den": 7, "method": "BruteForce"}
+        assert manifest["parameters"] == {"cap": "10000000", "command": "census", "csv": "False",
+                                          "exact": "False", "json": "True", "n": "561"}
+
     def test_exact_census(self, capsys):
         payload = run_json(capsys, "census", "561", "--exact", "--json")
         assert payload["proportion_num"] == 3 and payload["proportion_den"] == 7
@@ -74,6 +82,14 @@ class TestClassifyCommand:
         payload = run_json(capsys, "classify", "1009", "--seed", "7")
         assert payload["label"] == "Prime"
         assert payload["basis"] == "DeterministicPrimality"
+
+    @pytest.mark.parametrize("n, probabilistic", [
+        ("170141183460469231731687303715884105727", True),   # 2^127 - 1
+        ("1009", False), ("1729", False)])
+    def test_probabilistic_flag(self, capsys, n, probabilistic):
+        payload = run_json(capsys, "classify", n)
+        jsonschema.validate(payload, SCHEMAS["verdict"])
+        assert payload["probabilistic"] is probabilistic
 
     def test_assume_composite(self, capsys):
         payload = run_json(capsys, "classify", "21", "--seed", "7",

@@ -7,6 +7,7 @@ from carmlab.detector import (Basis, DetectorConfig, Label, Verdict,
                               default_sample_size, derive_seed,
                               detect_carmichael_composite, detect_carmichael_general)
 from carmlab.errors import DomainError
+from carmlab.factoring import DETERMINISTIC_WITNESS_BOUND
 from carmlab.korselt import enumerate_carmichael
 
 
@@ -25,10 +26,6 @@ class TestConfig:
         for thr in (Fraction(0), Fraction(1), Fraction(3, 2)):
             with pytest.raises(DomainError):
                 DetectorConfig(threshold=thr)
-
-    def test_unknown_sampling_mode(self):
-        with pytest.raises(DomainError):
-            DetectorConfig(sampling="WithoutReplacement")
 
     def test_default_sample_size(self):
         assert default_sample_size(561) == 40   # floor((ln 561)^2)
@@ -150,12 +147,51 @@ class TestGeneralDetector:
         assert general.label == composite.label
         assert general.witnesses_found == composite.witnesses_found
 
+    def test_equals_composite_detector_on_every_composite(self):
+        for n in range(4, 2000):
+            if all(n % d for d in range(2, math.isqrt(n) + 1)):
+                continue
+            for seed in range(3):
+                cfg = DetectorConfig(rng_seed=seed)
+                assert detect_carmichael_general(n, cfg) == detect_carmichael_composite(n, cfg), (n, seed)
+
+    def test_prime_makes_no_draws(self, monkeypatch):
+        def no_draws(n, cfg):
+            raise AssertionError(f"drew bases for the prime {n}")
+        monkeypatch.setattr("carmlab.detector._sample_witnesses", no_draws)
+        for n in (2, 3, 1009, 2**128 - 159):
+            verdict = detect_carmichael_general(n, DetectorConfig(rng_seed=5))
+            assert verdict.label is Label.PRIME
+            assert verdict.sample_size == default_sample_size(n)
+            assert verdict.witnesses_found == 0 and verdict.evidence is None
+            assert verdict.probabilistic is (n > DETERMINISTIC_WITNESS_BOUND)
+
+    @pytest.mark.parametrize("n, seed, record", [
+        (1009, 7, {"n": 1009, "label": "Prime", "basis": "DeterministicPrimality", "t": 47,
+                   "threshold": "9/20", "witnesses_found": 0, "evidence_a": None, "seed": 7}),
+        (1729, 7, {"n": 1729, "label": "Carmichael", "basis": "ProportionBelowThreshold",
+                   "t": 55, "threshold": "9/20", "witnesses_found": 16, "evidence_a": None,
+                   "seed": 7}),
+        (21, 7, {"n": 21, "label": "OtherComposite", "basis": "NonTrivialWitnessFound", "t": 9,
+                 "threshold": "9/20", "witnesses_found": 8, "evidence_a": 11, "seed": 7}),
+        (91, 3, {"n": 91, "label": "OtherComposite", "basis": "NonTrivialWitnessFound", "t": 20,
+                 "threshold": "9/20", "witnesses_found": 10, "evidence_a": 31, "seed": 3}),
+        # the paper rule's known false label: 703 = 19 * 37 with a marked share of 18/42
+        (703, 18, {"n": 703, "label": "Carmichael", "basis": "ProportionBelowThreshold",
+                   "t": 42, "threshold": "9/20", "witnesses_found": 18, "evidence_a": None,
+                   "seed": 18}),
+    ])
+    def test_pinned_verdicts(self, n, seed, record):
+        got = detect_carmichael_general(n, DetectorConfig(rng_seed=seed)).to_json_dict()
+        assert got.pop("probabilistic") is False
+        assert got == record
+
 
 class TestVerdictType:
     def test_json_shape(self):
         record = detect_carmichael_general(1729, DetectorConfig(rng_seed=7)).to_json_dict()
         assert set(record) == {"n", "label", "basis", "t", "threshold",
-                               "witnesses_found", "evidence_a", "seed"}
+                               "witnesses_found", "evidence_a", "seed", "probabilistic"}
         assert record["threshold"] == "9/20"
         assert record["label"] == "Carmichael"
 
@@ -165,6 +201,13 @@ class TestVerdictType:
                     basis=Basis.PROPORTION_BELOW_THRESHOLD, sample_size=5,
                     witnesses_found=6, evidence=None,
                     threshold=Fraction(45, 100), seed=0)
+
+    def test_only_prime_can_be_probabilistic(self):
+        with pytest.raises(DomainError):
+            Verdict(n=561, label=Label.CARMICHAEL,
+                    basis=Basis.NO_NON_TRIVIAL_WITNESS_FOUND, sample_size=5,
+                    witnesses_found=0, evidence=None,
+                    threshold=Fraction(45, 100), seed=0, probabilistic=True)
 
     def test_other_composite_requires_evidence(self):
         with pytest.raises(DomainError):
