@@ -54,14 +54,19 @@ def normal_cdf(z) -> mpf:
         return mp.erfc(-_to_mpf(z) / mp.sqrt(2)) / 2
 
 
-def z_score(threshold, t: int) -> mpf:
-    """Standardized distance of the threshold from the worst-case mean 1/2:
-    (threshold - 1/2) / sqrt((1/t) * (1/2) * (1/2))."""
+def _checked_threshold(threshold, t: int) -> Fraction:
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     thr = _as_fraction(threshold)
     if not 0 < thr < 1:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
+    return thr
+
+
+def z_score(threshold, t: int) -> mpf:
+    """Standardized distance of the threshold from the worst-case mean 1/2:
+    (threshold - 1/2) / sqrt((1/t) * (1/2) * (1/2))."""
+    thr = _checked_threshold(threshold, t)
     with mp.workdps(_DPS):
         return (_to_mpf(thr) - mpf(1) / 2) / mp.sqrt(mpf(1) / (4 * t))
 
@@ -127,11 +132,7 @@ class AccuracyReport:
 
 def _posterior_report(model: str, t: int, threshold, bit_length: int,
                       fraction_A, fraction_B) -> AccuracyReport:
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    thr = _as_fraction(threshold)
-    if not 0 < thr < 1:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
+    thr = _checked_threshold(threshold, t)
     fa = Fraction(1, 2) if fraction_A is None else _as_fraction(fraction_A)
     fb = Fraction(1, 2) if fraction_B is None else _as_fraction(fraction_B)
     if not (0 <= fa <= 1 and 0 <= fb <= 1):
@@ -143,7 +144,7 @@ def _posterior_report(model: str, t: int, threshold, bit_length: int,
         sigma = mp.sqrt(fa_m * (1 - fa_m) / t)
         if sigma > 0:
             z = (thr_m - (1 - fa_m)) / sigma
-            p = mp.erfc(-z / mp.sqrt(2)) / 2
+            p = normal_cdf(z)
         else:
             # degenerate: all witness counts equal the mean exactly
             below = (1 - fa_m) < thr_m

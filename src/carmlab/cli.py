@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Every subcommand is deterministic given its full flag set: randomness is
-always surfaced as --seed.  Machine output is JSON (one document, manifest
-embedded) or CSV (manifest written as a sidecar when --output is used);
-exit codes are 0 on success, 2 for domain/usage errors, 3 for budget or
-cap errors, 1 for anything unexpected.
+always surfaced as --seed.  Every handler but `schema` returns a `Report`
+(a JSON payload, plus CSV rows and a text when the command has them) for
+the one emitter, `_emit`: JSON with the manifest embedded under --json or
+when the report has nothing else; CSV under --csv or when it has no text;
+else the text.  --output puts the same bytes in a file, and a CSV or text
+file gets the manifest as a `<file>.manifest.json` sidecar.  Exit codes
+are 0 on success, 2 for domain/usage errors, 3 for budget or cap errors,
+1 for anything unexpected.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +32,7 @@ from .detector import (DetectorConfig, detect_carmichael_composite,
                        detect_carmichael_general)
 from .errors import CapExceededError, DomainError, FactorizationError
 from .factoring import factorize
-from .korselt import (DEFAULT_ENUMERATION_CAP, enumerate_carmichael,
-                      enumerate_carmichael_range, is_carmichael)
+from .korselt import enumerate_carmichael, is_carmichael
 from .reproduce import (bound_curve_series, reproduce_fermat_table,
                         reproduce_proportion_examples, reproduce_witness_catalog)
 from .schemas import SCHEMAS
@@ -41,6 +43,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _FLOAT_INT_LIMIT = 1 << 53
+_MAX_INPUT_BITS = 1 << 16  # largest power a flag may spell, e.g. 2**1024 or --bits
 
 
 def _parse_int(text: str) -> int:
@@ -52,8 +55,10 @@ def _parse_int(text: str) -> int:
         pass
     try:
         if "**" in s:
-            base, _, exponent = s.partition("**")
-            return int(base) ** int(exponent)
+            base, exponent = (int(part) for part in s.split("**", 1))
+            if exponent * base.bit_length() > _MAX_INPUT_BITS:
+                raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
+            return base ** exponent
         value = float(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
@@ -72,68 +77,57 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from exc
 
 
-def _manifest(command: str, args: argparse.Namespace, seed: int | None = None) -> dict:
-    skip = {"handler", "output"}
+@dataclass(frozen=True)
+class Report:
+    """One command's result: the JSON payload, and the CSV table
+    (header, rows) and text rendering when the command has them."""
+
+    payload: dict
+    csv: tuple[list[str], list[list]] | None = None
+    text: str | None = None
+
+
+def _manifest(args: argparse.Namespace) -> dict:
     parameters = {key: str(value) for key, value in sorted(vars(args).items())
-                  if key not in skip and value is not None}
-    return {"command": command, "parameters": parameters,
-            "seed": seed if seed is not None else 0,
+                  if key not in ("handler", "output") and value is not None}
+    return {"command": args.command, "parameters": parameters,
+            "seed": getattr(args, "seed", 0),
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "tool_version": __version__}
 
 
-def _emit_json(payload: dict, manifest: dict, output: str | None) -> None:
-    document = dict(payload)
-    document["manifest"] = manifest
-    text = json.dumps(document, indent=2)
-    if output:
-        Path(output).write_text(text + "\n")
+def _emit(report: Report, args: argparse.Namespace) -> None:
+    manifest = _manifest(args)
+    as_json = getattr(args, "json", False) or (report.csv is None and report.text is None)
+    if as_json:
+        body = json.dumps({**report.payload, "manifest": manifest}, indent=2) + "\n"
+    elif getattr(args, "csv", False) or report.text is None:
+        if report.csv is None:
+            raise DomainError(f"{args.command} output has no CSV form")
+        header, rows = report.csv
+        body = "".join(",".join(str(cell) for cell in row) + "\n"
+                       for row in [header, *rows])
     else:
-        print(text)
-
-
-def _emit_text(text: str, manifest: dict, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text + "\n")
-        _write_sidecar(output, manifest)
-    else:
-        print(text)
-
-
-def _emit_csv(header: list[str], rows: list[list], manifest: dict,
-              output: str | None) -> None:
-    buffer = io.StringIO()
-    buffer.write(",".join(header) + "\n")
-    for row in rows:
-        buffer.write(",".join(str(cell) for cell in row) + "\n")
-    if output:
-        Path(output).write_text(buffer.getvalue())
-        _write_sidecar(output, manifest)
-    else:
-        sys.stdout.write(buffer.getvalue())
-
-
-def _write_sidecar(output: str, manifest: dict) -> None:
-    Path(output + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        body = report.text + "\n" if report.text else ""
+    if not args.output:
+        sys.stdout.write(body)
+        return
+    Path(args.output).write_text(body)
+    if not as_json:
+        Path(args.output + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------- census
 
-def cmd_census(args: argparse.Namespace) -> int:
-    n = args.n
+def cmd_census(args: argparse.Namespace) -> Report:
     if args.exact:
-        census = census_carmichael_exact(n, factorize(n))
+        census = census_carmichael_exact(args.n, factorize(args.n))
     else:
-        census = census_brute_force(n, cap=args.cap)
-    manifest = _manifest("census", args)
-    if args.json:
-        _emit_json(census.to_json_dict(), manifest, args.output)
-    elif args.csv:
-        record = census.to_json_dict()
-        _emit_csv(list(record), [list(record.values())], manifest, args.output)
-    else:
-        _emit_text(_census_text(census), manifest, args.output)
-    return EXIT_OK
+        census = census_brute_force(args.n, cap=args.cap)
+    record = census.to_json_dict()
+    return Report(record, csv=(list(record), [list(record.values())]),
+                  text=_census_text(census))
 
 
 def _census_text(census) -> str:
@@ -154,62 +148,26 @@ def _census_text(census) -> str:
 
 # -------------------------------------------------------------- classify
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Report:
     cfg = DetectorConfig(t_override=args.t, threshold=args.threshold,
                          rng_seed=args.seed)
-    if args.assume_composite:
-        verdict = detect_carmichael_composite(args.n, cfg)
-    else:
-        verdict = detect_carmichael_general(args.n, cfg)
-    _emit_json(verdict.to_json_dict(), _manifest("classify", args, args.seed),
-               args.output)
-    return EXIT_OK
+    detect = (detect_carmichael_composite if args.assume_composite
+              else detect_carmichael_general)
+    return Report(detect(args.n, cfg).to_json_dict())
 
 
 # -------------------------------------------------------------- enumerate
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.limit > DEFAULT_ENUMERATION_CAP:
-        raise CapExceededError(
-            f"limit {args.limit} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    if args.parallel > 1:
-        results = _enumerate_parallel(args.limit, args.parallel)
-    else:
-        results = enumerate_carmichael(args.limit)
-    manifest = _manifest("enumerate", args)
-    if args.certificates:
-        lines = [json.dumps(is_carmichael(n).to_json_dict()) for n in results]
-    else:
-        lines = [str(n) for n in results]
-    body = "\n".join(lines)
-    if args.output:
-        Path(args.output).write_text(body + ("\n" if body else ""))
-        _write_sidecar(args.output, manifest)
-    elif body:
-        print(body)
-    return EXIT_OK
-
-
-def _enumerate_parallel(limit: int, jobs: int) -> list[int]:
-    # contiguous ranges; blocks are independent and merge in order
-    edges = [3 + (limit - 2) * i // jobs for i in range(jobs + 1)]
-    spans = [(edges[i] + (1 if i else 0), edges[i + 1]) for i in range(jobs)]
-    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_range_worker, spans)
-    merged: list[int] = []
-    for part in parts:
-        merged.extend(part)
-    return merged
-
-
-def _range_worker(span: tuple[int, int]) -> list[int]:
-    return enumerate_carmichael_range(span[0], span[1])
+def cmd_enumerate(args: argparse.Namespace) -> Report:
+    results = enumerate_carmichael(args.limit, jobs=args.parallel)
+    lines = [json.dumps(is_carmichael(n).to_json_dict()) if args.certificates else str(n)
+             for n in results]
+    return Report({"carmichael": results}, text="\n".join(lines))
 
 
 # ------------------------------------------------------------------ bound
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> Report:
     evaluation = prime_factor_bound(args.n, bracket_width=args.bracket_width)
     verdict = None
     try:
@@ -218,78 +176,52 @@ def cmd_bound(args: argparse.Namespace) -> int:
             verdict = classify_by_bound(args.n, fac).value
     except FactorizationError:
         pass  # bound still reportable without the factor-based verdict
-    _emit_json(evaluation.to_json_dict(verdict), _manifest("bound", args), args.output)
-    return EXIT_OK
+    return Report(evaluation.to_json_dict(verdict))
 
 
 # ------------------------------------------------------------------ model
 
-def cmd_model(args: argparse.Namespace) -> int:
+def cmd_model(args: argparse.Namespace) -> Report:
+    if args.bits > _MAX_INPUT_BITS:
+        raise DomainError(f"--bits {args.bits} exceeds {_MAX_INPUT_BITS}")
     t = args.t if args.t is not None else natural_log_squared_floor(2 ** args.bits)
     build = posterior_general if args.general else posterior_composite_given
     report = build(t, threshold=args.threshold, bit_length=args.bits,
                    fraction_A=args.fraction_a, fraction_B=args.fraction_b)
-    _emit_json(report.to_json_dict(), _manifest("model", args), args.output)
-    return EXIT_OK
+    return Report(report.to_json_dict())
 
 
 # -------------------------------------------------------------- reproduce
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    manifest = _manifest("reproduce", args, getattr(args, "seed", None))
+def cmd_reproduce(args: argparse.Namespace) -> Report:
     if args.table == 1:
         report = reproduce_fermat_table()
-        if args.json:
-            _emit_json(report, manifest, args.output)
-        elif args.csv:
-            header = ["a", "computed", "published", "match", "witness"]
-            rows = [[c["a"], c["computed"], c["published"], c["match"], c["witness"]]
-                    for c in report["cells"]]
-            _emit_csv(header, rows, manifest, args.output)
-        else:
-            _emit_text(_fermat_table_text(report), manifest, args.output)
-    elif args.table == 2:
+        header = ["a", "computed", "published", "match", "witness"]
+        rows = [[c[key] for key in header] for c in report["cells"]]
+        return Report(report, csv=(header, rows), text=_fermat_table_text(report))
+    if args.table == 2:
         report = reproduce_witness_catalog()
-        if args.json:
-            _emit_json(report, manifest, args.output)
-        elif args.csv:
-            header = ["published_percent", "printed_n", "n", "computed_percent",
-                      "percent_match", "is_carmichael", "grouping_ok", "flags"]
-            rows = [[r["published_percent"], r["printed_n"], r["n"],
-                     r["computed_percent"], r["percent_match"], r["is_carmichael"],
-                     r["grouping_ok"], ";".join(r["flags"])]
-                    for r in report["rows"]]
-            _emit_csv(header, rows, manifest, args.output)
-        else:
-            _emit_text(_catalog_text(report), manifest, args.output)
-    elif args.proportions:
+        header = ["published_percent", "printed_n", "n", "computed_percent",
+                  "percent_match", "is_carmichael", "grouping_ok", "flags"]
+        rows = [[r[key] for key in header[:-1]] + [";".join(r["flags"])]
+                for r in report["rows"]]
+        return Report(report, csv=(header, rows), text=_catalog_text(report))
+    if args.proportions:
         report = reproduce_proportion_examples()
-        if args.json:
-            _emit_json(report, manifest, args.output)
-        else:
-            _emit_text(_proportions_text(report), manifest, args.output)
-    elif args.figure == 1:
+        return Report(report, text=_proportions_text(report))
+    if args.figure == 1:
         series = bound_curve_series(n=args.n or 1729)
-        if args.json:
-            _emit_json({"series": series}, manifest, args.output)
-        else:
-            _emit_csv(["a", "value"],
-                      [[f"{p['a']:.6f}", f"{p['value']:.12g}"] for p in series],
-                      manifest, args.output)
-    elif args.figure == 2:
-        histogram = empirical_proportion_distribution(
-            args.n or 561, factorize(args.n or 561),
-            t=args.t, trials=args.trials, seed=args.seed)
-        if args.json:
-            _emit_json(histogram.to_json_dict(), manifest, args.output)
-        else:
-            _emit_csv(["bin_lo", "bin_hi", "count"],
-                      [[f"{lo:.8f}", f"{hi:.8f}", count]
-                       for lo, hi, count in histogram.csv_rows()],
-                      manifest, args.output)
-    else:
-        raise DomainError("choose one of --table, --proportions, --figure")
-    return EXIT_OK
+        return Report({"series": series},
+                      csv=(["a", "value"], [[f"{p['a']:.6f}", f"{p['value']:.12g}"]
+                                            for p in series]))
+    # --figure 2; argparse requires exactly one mode
+    histogram = empirical_proportion_distribution(
+        args.n or 561, factorize(args.n or 561),
+        t=args.t, trials=args.trials, seed=args.seed)
+    return Report(histogram.to_json_dict(),
+                  csv=(["bin_lo", "bin_hi", "count"],
+                       [[f"{lo:.8f}", f"{hi:.8f}", count]
+                        for lo, hi, count in histogram.csv_rows()]))
 
 
 def _fermat_table_text(report: dict) -> str:
@@ -332,7 +264,7 @@ def _proportions_text(report: dict) -> str:
 
 # ------------------------------------------------------------------ bench
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> Report:
     if args.range:
         lo, _, hi = args.range.partition(":")
         low, high = _parse_int(lo), _parse_int(hi)
@@ -345,15 +277,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bits = tuple(_parse_int(piece) for piece in args.bits.split(":"))
     report = run_benchmark(bit_lengths=bits, t=args.t, repeats=args.repeats,
                            seed=args.seed)
-    _emit_json(report.to_json_dict(), _manifest("bench", args, args.seed), args.output)
-    return EXIT_OK
+    return Report(report.to_json_dict())
 
 
 # ----------------------------------------------------------------- schema
 
-def cmd_schema(args: argparse.Namespace) -> int:
+def cmd_schema(args: argparse.Namespace) -> None:
     print(json.dumps(SCHEMAS[args.name], indent=2))
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
@@ -448,21 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    formats = p.add_mutually_exclusive_group()
+    formats.add_argument("--json", action="store_true")
+    formats.add_argument("--csv", action="store_true")
     p.add_argument("--output")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except DomainError as exc:
+        report = args.handler(args)
+        if report is not None:
+            _emit(report, args)
+        return EXIT_OK
+    except (DomainError, CapExceededError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CapExceededError, FactorizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_BUDGET
 
 
 if __name__ == "__main__":

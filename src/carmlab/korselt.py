@@ -8,6 +8,8 @@ divides (n - 1) for every prime p dividing n.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures  # imports its process pool on first use only
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,19 +88,32 @@ def chernick(m: int) -> int | None:
     return None
 
 
-def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
+                         jobs: int = 1) -> list[int]:
     """All Carmichael numbers <= limit, in increasing order.
 
     Blocked factor sieve over the odd candidates: shared scans over the
     primes below sqrt(limit) factor every candidate, and Korselt's
     conditions are applied as the factors appear, so the per-candidate
-    cost is amortized instead of a fresh factorization each.
+    cost is amortized instead of a fresh factorization each.  With
+    jobs > 1, contiguous spans run in up to min(jobs, cpu count) worker
+    processes and concatenate in order.
     """
     if limit < 0:
         raise DomainError(f"limit must be non-negative, got {limit}")
     if limit > cap:
         raise CapExceededError(f"limit {limit} exceeds the enumeration cap {cap}")
-    return enumerate_carmichael_range(3, limit)
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        return enumerate_carmichael_range(3, limit)
+    # spans (edges[i], edges[i + 1]] tile [3, limit]
+    edges = [2 + (limit - 2) * i // workers for i in range(workers + 1)]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(enumerate_carmichael_range,
+                         [edge + 1 for edge in edges[:-1]], edges[1:])
+        return [n for part in parts for n in part]
 
 
 def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import jsonschema
 import pytest
 
-from carmlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from carmlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int, main
 from carmlab.schemas import SCHEMAS
 
 
@@ -69,6 +70,22 @@ class TestCensusCommand:
     def test_exact_rejects_plain_composites(self, capsys):
         code, _, err = run(capsys, "census", "21", "--exact")
         assert code == EXIT_USAGE and "neither prime nor Carmichael" in err
+
+    def test_json_and_csv_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", "21", "--json", "--csv"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_csv_output_file_with_manifest_sidecar(self, capsys, tmp_path):
+        target = tmp_path / "census.csv"
+        code, out, _ = run(capsys, "census", "21", "--csv", "--output", str(target))
+        assert code == EXIT_OK and out == ""
+        assert target.read_text() == ("n,count_A,count_B,count_C,proportion_num,"
+                                      "proportion_den,method\n21,4,8,8,4,5,BruteForce\n")
+        sidecar = json.loads((tmp_path / "census.csv.manifest.json").read_text())
+        jsonschema.validate(sidecar, SCHEMAS["manifest"])
+        assert sidecar["parameters"]["csv"] == "True"
 
 
 class TestClassifyCommand:
@@ -146,6 +163,10 @@ class TestEnumerateCommand:
         assert code == EXIT_OK
         assert parallel == serial
 
+    def test_parallel_below_one_rejected(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--limit", "2000", "--parallel", "0")
+        assert code == EXIT_USAGE and out == "" and "jobs" in err
+
     def test_output_file_with_manifest_sidecar(self, capsys, tmp_path):
         target = tmp_path / "carmichael.txt"
         code, out, _ = run(capsys, "enumerate", "--limit", "2000",
@@ -202,6 +223,10 @@ class TestModelCommand:
                            "--threshold", "0.45")
         assert payload["threshold_num"] == 9 and payload["threshold_den"] == 20
 
+    def test_bits_above_input_limit_rejected(self, capsys):
+        code, out, err = run(capsys, "model", "--bits", "100000")
+        assert code == EXIT_USAGE and out == "" and "--bits" in err
+
 
 class TestReproduceCommand:
     def test_table_1_text(self, capsys):
@@ -225,6 +250,13 @@ class TestReproduceCommand:
         code, out, _ = run(capsys, "reproduce", "--proportions")
         assert code == EXIT_OK
         assert "DIFF" in out and "0.2504" in out
+
+    def test_proportions_have_no_csv_form(self, capsys, tmp_path):
+        target = tmp_path / "proportions.csv"
+        code, out, err = run(capsys, "reproduce", "--proportions", "--csv",
+                             "--output", str(target))
+        assert code == EXIT_USAGE and out == "" and "no CSV form" in err
+        assert not target.exists()
 
     def test_figure_1_series(self, capsys):
         code, out, _ = run(capsys, "reproduce", "--figure", "1")
@@ -275,3 +307,11 @@ class TestIntegerParsing:
     def test_rejects_non_integer(self, capsys):
         with pytest.raises(SystemExit):
             main(["enumerate", "--limit", "1.5"])
+
+    def test_power_size_checked_before_computing(self, capsys):
+        assert _parse_int("2**1024") == 1 << 1024
+        with pytest.raises(argparse.ArgumentTypeError, match="65536 bits"):
+            _parse_int("2**100000")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", "2**100000"])
+        assert exit_info.value.code == EXIT_USAGE

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carmlab import korselt
 from carmlab.errors import CapExceededError, DomainError
 from carmlab.factoring import factorize
 from carmlab.korselt import (CarmichaelCertificate, chernick, enumerate_carmichael,
@@ -144,6 +145,61 @@ class TestEnumerate:
     def test_range_handles_even_bounds(self):
         assert enumerate_carmichael_range(560, 562) == [561]
         assert enumerate_carmichael_range(562, 1106) == [1105]
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A 4-CPU machine whose process pool maps in-process; the list holds the
+    max_workers of every pool built, in order."""
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(korselt.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(korselt.os, "cpu_count", lambda: 4)
+    return built
+
+
+class TestParallelEnumerate:
+    def test_parallel_matches_serial(self):
+        assert enumerate_carmichael(10**5, jobs=3) == enumerate_carmichael(10**5)
+
+    def test_workers_clamped_to_cpu_count(self, fake_pool):
+        assert enumerate_carmichael(10**5, jobs=100_000) == CARMICHAELS_TO_1E5
+        assert enumerate_carmichael(10**5, jobs=3) == CARMICHAELS_TO_1E5
+        assert fake_pool == [4, 3]
+
+    def test_unknown_cpu_count_runs_serially(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(korselt.os, "cpu_count", lambda: None)
+        assert enumerate_carmichael(2000, jobs=8) == [561, 1105, 1729]
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("limit", [0, 2, 9, 560, 561, 1728, 1729])
+    def test_spans_end_at_limit(self, fake_pool, limit):
+        for jobs in (2, 3, 4):
+            assert enumerate_carmichael(limit, jobs=jobs) == enumerate_carmichael(limit)
+
+    def test_cap_checked_before_any_pool(self, fake_pool):
+        with pytest.raises(CapExceededError):
+            enumerate_carmichael(10**9, jobs=2)
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, fake_pool, jobs):
+        with pytest.raises(DomainError):
+            enumerate_carmichael(100, jobs=jobs)
+        assert fake_pool == []
 
 
 class TestCertificateType:
