@@ -23,11 +23,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .census import census_carmichael_exact
+from .census import census_exact
 from .detector import default_sample_size
 from .errors import DomainError
 from .factoring import Factorization
-from .korselt import certificate_from_factorization
 from .randutil import uniform_below
 
 _DPS = 50
@@ -192,7 +191,7 @@ class ProportionHistogram:
     mean: float
     stddev: float                   # sample standard deviation (ddof = 1)
     expected_mean: Fraction | None  # exact census proportion, when available
-    sigma_model: float | None       # sqrt((phi/n)(1 - phi/n)/t), when available
+    sigma_model: float | None       # sqrt((A/n)(1 - A/n)/t), when available
 
     def csv_rows(self) -> list[tuple[float, float, int]]:
         """(bin_lo, bin_hi, count) rows; bin k covers proportion k/t."""
@@ -214,9 +213,8 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     """Draw `trials` independent t-base samples and histogram the witness
     proportion of each.
 
-    When a factorization is supplied and n is Carmichael or prime, the
-    histogram carries the exact census mean and the model standard
-    deviation for comparison.
+    When a factorization of n is supplied, the histogram carries the exact
+    census mean and the model standard deviation for comparison.
     """
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
@@ -242,13 +240,10 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     expected_mean = None
     sigma_model = None
     if factorization is not None:
-        prime = (len(factorization.factors) == 1
-                 and factorization.factors[0][1] == 1)
-        if prime or certificate_from_factorization(factorization).is_carmichael:
-            census = census_carmichael_exact(n, factorization)
-            expected_mean = census.proportion_witnesses
-            fraction_a = Fraction(census.count_A, n)
-            sigma_model = math.sqrt(float(fraction_a * (1 - fraction_a)) / t)
+        census = census_exact(n, factorization)
+        expected_mean = census.proportion_witnesses
+        fraction_a = Fraction(census.count_A, n)
+        sigma_model = math.sqrt(float(fraction_a * (1 - fraction_a)) / t)
     return ProportionHistogram(n=n, t=t, trials=trials, seed=seed,
                                counts=tuple(counts), mean=mean,
                                stddev=math.sqrt(variance),

@@ -1,14 +1,11 @@
-"""Integer arithmetic primitives shared by every other module.
+"""An exact floor of (ln n)^2.
 
-Python integers are arbitrary precision already, so most of this is thin,
-checked wrappers.  The one genuinely fiddly piece is an exact floor of
-(ln n)^2, which drives the default Monte Carlo sample size and must round
-the same way on every platform.
+It drives the default Monte Carlo sample size and must round the same way
+on every platform, so it is evaluated in extended precision rather than
+in doubles.
 """
 
 from __future__ import annotations
-
-import math
 
 from mpmath import mp
 
@@ -17,24 +14,6 @@ from .errors import DomainError
 # escalate precision whenever (ln n)^2 lands this close to an integer
 _NEAR_INTEGER_BITS = 30
 _MAX_PRECISION = 1 << 16
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if base < 0 or exponent < 0:
-        raise DomainError("base and exponent must be non-negative")
-    return pow(base, exponent, modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) is rejected."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    if a < 0 or b < 0:
-        raise DomainError("arguments must be non-negative")
-    return math.gcd(a, b)
 
 
 def natural_log_squared_floor(n: int) -> int:

@@ -2,8 +2,10 @@
 
 count_A counts bases with a^(n-1) == 1 (mod n), count_B the coprime
 ("non-trivial") witnesses, count_C the witnesses sharing a factor with n.
-Proportions are exact rationals with denominator n - 1; decimals appear
-only at display time.
+Two methods give the same counts: brute force evaluates every base up to
+a fixed cap, and the exact census derives them from the factorization of
+any n >= 3 by Monier's formula.  Proportions are exact rationals with
+denominator n - 1; decimals appear only at display time.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError
 from .factoring import Factorization, euler_phi
-from .korselt import certificate_from_factorization
 
+# below 2^32, so the uint64 product of two residues mod n stays exact
 DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 _CHUNK = 1 << 20
-_VECTOR_LIMIT = 1 << 32  # uint64 products stay exact below this modulus
 
 
 class CensusMethod(Enum):
@@ -62,8 +63,6 @@ class WitnessCensus:
             raise DomainError("census counts must partition {1, ..., n-1}")
         if self.count_A < 1:
             raise DomainError("count_A must be >= 1 (a = 1 is never a witness)")
-        if self.method is CensusMethod.TOTIENT_EXACT and self.count_B != 0:
-            raise DomainError("the totient method is only valid when count_B = 0")
 
     @property
     def proportion_witnesses(self) -> Fraction:
@@ -78,7 +77,7 @@ class WitnessCensus:
                 "method": self.method.value}
 
 
-def census_brute_force(n: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> WitnessCensus:
+def census_brute_force(n: int) -> WitnessCensus:
     """Exact counts by evaluating every base from 1 to n-1.
 
     The range is processed in chunks (vectorized powmod per chunk) and the
@@ -86,24 +85,17 @@ def census_brute_force(n: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> WitnessCen
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
-    if n > cap:
+    if n > DEFAULT_BRUTE_FORCE_CAP:
         raise CapExceededError(
-            f"n = {n} exceeds the brute-force cap {cap}; for a verified "
-            f"Carmichael number or a prime use census_carmichael_exact")
+            f"n = {n} exceeds the brute-force cap {DEFAULT_BRUTE_FORCE_CAP}; "
+            f"census_exact counts any n from its factorization")
     exponent = n - 1
     count_a = 0
     count_c = 0
-    if n < _VECTOR_LIMIT:
-        for lo in range(1, n, _CHUNK):
-            part_a, part_c = _census_chunk(lo, min(lo + _CHUNK, n), n, exponent)
-            count_a += part_a
-            count_c += part_c
-    else:
-        for a in range(1, n):
-            if math.gcd(a, n) > 1:
-                count_c += 1
-            elif pow(a, exponent, n) == 1:
-                count_a += 1
+    for lo in range(1, n, _CHUNK):
+        part_a, part_c = _census_chunk(lo, min(lo + _CHUNK, n), n, exponent)
+        count_a += part_a
+        count_c += part_c
     return WitnessCensus(n, count_a, n - 1 - count_a - count_c, count_c,
                          CensusMethod.BRUTE_FORCE)
 
@@ -125,20 +117,20 @@ def _census_chunk(lo: int, hi: int, n: int, exponent: int) -> tuple[int, int]:
     return count_a, count_c
 
 
-def census_carmichael_exact(n: int, factorization: Factorization) -> WitnessCensus:
-    """Census via the totient, valid only when no coprime witness can exist:
-    n must be a verified Carmichael number or a prime.
+def census_exact(n: int, factorization: Factorization) -> WitnessCensus:
+    """Census from the factorization of n, for every n >= 3.
 
-    count_A = phi(n), count_B = 0, count_C = n - 1 - phi(n); the witness
-    proportion is the exact rational 1 - phi(n)/(n-1).
+    Monier's count of Fermat liars (Monier 1980; Baillie & Wagstaff 1980)
+    is count_A = prod over primes p | n of gcd(n - 1, p - 1).  The bases
+    sharing a factor with n number count_C = n - 1 - phi(n), and the
+    coprime witnesses are the rest, count_B = phi(n) - count_A.  For a
+    prime or a Carmichael number count_A = phi(n) and count_B = 0.
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
     if factorization.subject != n:
         raise DomainError("factorization does not describe n")
-    prime = len(factorization.factors) == 1 and factorization.factors[0][1] == 1
-    if not prime and not certificate_from_factorization(factorization).is_carmichael:
-        raise DomainError(
-            f"{n} is neither prime nor Carmichael; count_B would be nonzero")
+    count_a = math.prod(math.gcd(n - 1, p - 1) for p in factorization.primes)
     phi = euler_phi(factorization)
-    return WitnessCensus(n, phi, 0, n - 1 - phi, CensusMethod.TOTIENT_EXACT)
+    return WitnessCensus(n, count_a, phi - count_a, n - 1 - phi,
+                         CensusMethod.TOTIENT_EXACT)

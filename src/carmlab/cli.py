@@ -27,7 +27,7 @@ from .accuracy import (empirical_proportion_distribution, posterior_composite_gi
 from .arith import natural_log_squared_floor
 from .bench import DEFAULT_BIT_LENGTHS, run_benchmark
 from .bound import classify_by_bound, prime_factor_bound
-from .census import DEFAULT_BRUTE_FORCE_CAP, census_brute_force, census_carmichael_exact
+from .census import census_brute_force, census_exact
 from .detector import (DetectorConfig, detect_carmichael_composite,
                        detect_carmichael_general)
 from .errors import CapExceededError, DomainError, FactorizationError
@@ -43,7 +43,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _FLOAT_INT_LIMIT = 1 << 53
-_MAX_INPUT_BITS = 1 << 16  # largest power a flag may spell, e.g. 2**1024 or --bits
+# largest power a flag may spell, e.g. 2**1024 or --bits; 14,000 bits is
+# 4,215 decimal digits, within what str() of an int may print
+_MAX_INPUT_BITS = 14_000
 
 
 def _parse_int(text: str) -> int:
@@ -56,7 +58,10 @@ def _parse_int(text: str) -> int:
     try:
         if "**" in s:
             base, exponent = (int(part) for part in s.split("**", 1))
-            if exponent * base.bit_length() > _MAX_INPUT_BITS:
+            if exponent < 0:
+                raise ValueError("negative exponent")
+            # |base| <= 2^k makes the power at most 2^(k * exponent)
+            if exponent * (abs(base) - 1).bit_length() >= _MAX_INPUT_BITS:
                 raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
             return base ** exponent
         value = float(s)
@@ -122,9 +127,9 @@ def _emit(report: Report, args: argparse.Namespace) -> None:
 
 def cmd_census(args: argparse.Namespace) -> Report:
     if args.exact:
-        census = census_carmichael_exact(args.n, factorize(args.n))
+        census = census_exact(args.n, factorize(args.n))
     else:
-        census = census_brute_force(args.n, cap=args.cap)
+        census = census_brute_force(args.n)
     record = census.to_json_dict()
     return Report(record, csv=(list(record), [list(record.values())]),
                   text=_census_text(census))
@@ -170,12 +175,15 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
 def cmd_bound(args: argparse.Namespace) -> Report:
     evaluation = prime_factor_bound(args.n, bracket_width=args.bracket_width)
     verdict = None
-    try:
-        fac = factorize(args.n)
-        if is_carmichael(args.n, fac):
-            verdict = classify_by_bound(args.n, fac).value
-    except FactorizationError:
-        pass  # bound still reportable without the factor-based verdict
+    # a Carmichael number is odd, so base 2 is a Fermat liar for it; an n
+    # that fails base 2 gets no verdict without being factored
+    if pow(2, args.n - 1, args.n) == 1:
+        try:
+            fac = factorize(args.n)
+            if is_carmichael(args.n, fac):
+                verdict = classify_by_bound(args.n, fac).value
+        except FactorizationError:
+            pass  # bound still reportable without the factor-based verdict
     return Report(evaluation.to_json_dict(verdict))
 
 
@@ -265,16 +273,7 @@ def _proportions_text(report: dict) -> str:
 # ------------------------------------------------------------------ bench
 
 def cmd_bench(args: argparse.Namespace) -> Report:
-    if args.range:
-        lo, _, hi = args.range.partition(":")
-        low, high = _parse_int(lo), _parse_int(hi)
-        bits = []
-        while low <= high:
-            bits.append(low)
-            low *= 2
-        bits = tuple(bits)
-    else:
-        bits = tuple(_parse_int(piece) for piece in args.bits.split(":"))
+    bits = tuple(_parse_int(piece) for piece in args.bits.split(":"))
     report = run_benchmark(bit_lengths=bits, t=args.t, repeats=args.repeats,
                            seed=args.seed)
     return Report(report.to_json_dict())
@@ -300,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="Fermat witness census of one n")
     p.add_argument("n", type=_parse_int)
     p.add_argument("--exact", action="store_true",
-                   help="totient-based census (Carmichael numbers and primes only)")
-    p.add_argument("--cap", type=_parse_int, default=DEFAULT_BRUTE_FORCE_CAP)
+                   help="census from the factorization of n by Monier's formula "
+                        "(any n that factorizes within budget); without it, brute "
+                        "force up to 10^7")
     _output_flags(p)
     p.set_defaults(handler=cmd_census)
 
@@ -360,10 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_reproduce)
 
     p = sub.add_parser("bench", help="classification cost versus bit length")
-    p.add_argument("--range", default=None, metavar="LO:HI",
-                   help="doubling bit lengths from LO to HI, e.g. 64:1024")
     p.add_argument("--bits", default=":".join(str(b) for b in DEFAULT_BIT_LENGTHS),
-                   help="explicit colon-separated bit lengths, e.g. 64:128:256")
+                   help="colon-separated bit lengths, e.g. 64:128:256")
     p.add_argument("--t", type=_parse_int, default=16)
     p.add_argument("--repeats", type=_parse_int, default=3)
     p.add_argument("--seed", type=_parse_int, default=0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bound import bound_curve
-from .census import census_brute_force, census_carmichael_exact
+from .census import census_brute_force, census_exact
 from .factoring import factorize
 from .korselt import is_carmichael
 
@@ -89,7 +89,7 @@ def reproduce_witness_catalog() -> dict:
         n = math.prod(row.factors)
         fac = factorize(n)
         cert = is_carmichael(n, fac)
-        census = census_carmichael_exact(n, fac)
+        census = census_exact(n, fac)
         computed_percent = round(float(census.proportion_witnesses * 100), 2)
         published_percent = float(row.percent)
         grouping_ok = _WELL_GROUPED.fullmatch(row.printed_n) is not None
@@ -120,7 +120,7 @@ def reproduce_proportion_examples() -> dict:
     published 4-decimal values; disagreements carry a note."""
     rows = []
     for n, published in PROPORTION_EXAMPLES:
-        census = census_carmichael_exact(n, factorize(n))
+        census = census_exact(n, factorize(n))
         proportion = census.proportion_witnesses
         decimal = f"{float(proportion):.4f}"
         match = decimal == published

@@ -17,7 +17,7 @@ from carmlab.accuracy import (empirical_proportion_distribution, normal_cdf,
 from carmlab.arith import natural_log_squared_floor
 from carmlab.bench import run_benchmark
 from carmlab.bound import bound_closed_form, prime_factor_bound
-from carmlab.census import census_brute_force, census_carmichael_exact
+from carmlab.census import census_brute_force, census_exact
 from carmlab.detector import DetectorConfig, derive_seed, detect_carmichael_composite
 from carmlab.factoring import euler_phi, factorize, primes_up_to
 from carmlab.korselt import chernick, enumerate_carmichael, is_carmichael
@@ -83,9 +83,9 @@ def test_criterion_01_fermat_table_reproduction():
 
 def test_criterion_02_worked_proportions():
     start = time.perf_counter()
-    p561 = census_carmichael_exact(561, factorize(561)).proportion_witnesses
-    p1105 = census_carmichael_exact(1105, factorize(1105)).proportion_witnesses
-    p1729 = census_carmichael_exact(1729, factorize(1729)).proportion_witnesses
+    p561 = census_exact(561, factorize(561)).proportion_witnesses
+    p1105 = census_exact(1105, factorize(1105)).proportion_witnesses
+    p1729 = census_exact(1729, factorize(1729)).proportion_witnesses
     rows = {r["n"]: r for r in reproduce_proportion_examples()["rows"]}
     elapsed = time.perf_counter() - start
     ok = (p561 == 1 - Fraction(320, 560) and f"{float(p561):.4f}" == "0.4286"

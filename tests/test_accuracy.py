@@ -9,6 +9,7 @@ from carmlab.accuracy import (binomial_tail_exact, carmichael_prior,
                               empirical_proportion_distribution, normal_cdf,
                               posterior_composite_given, posterior_general,
                               prime_prior, z_score)
+from carmlab.census import census_brute_force
 from carmlab.errors import DomainError
 from carmlab.factoring import factorize
 
@@ -206,10 +207,12 @@ class TestEmpiricalDistribution:
         assert len(hist.counts) == 2
         assert sum(hist.counts) == 200
 
-    def test_expected_stats_absent_for_plain_composites(self):
+    def test_expected_mean_for_plain_composites_is_exact(self):
         hist = empirical_proportion_distribution(21, factorize(21), t=5,
                                                  trials=50, seed=0)
-        assert hist.expected_mean is None and hist.sigma_model is None
+        assert hist.expected_mean == census_brute_force(21).proportion_witnesses
+        fraction_a = Fraction(4, 21)
+        assert hist.sigma_model == math.sqrt(float(fraction_a * (1 - fraction_a)) / 5)
 
     def test_prime_expected_mean_is_zero(self):
         hist = empirical_proportion_distribution(97, factorize(97), t=5,

@@ -2,88 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carmlab.arith import gcd, mod_pow, natural_log_squared_floor
+from carmlab.arith import natural_log_squared_floor
 from carmlab.errors import DomainError
-
-
-def naive_mod_pow(base, exponent, modulus):
-    """Oracle: literal repeated multiplication."""
-    acc = 1
-    for _ in range(exponent):
-        acc = acc * base % modulus
-    return acc
-
-
-class TestModPow:
-    def test_classic_pseudoprime_witness(self):
-        assert mod_pow(2, 560, 561) == 1
-
-    def test_zero_exponent_is_empty_product(self):
-        for a, m in ((0, 2), (5, 7), (123456, 97), (2, 2)):
-            assert mod_pow(a, 0, m) == 1
-
-    def test_fermat_residue_for_21(self):
-        assert mod_pow(2, 20, 21) == 4
-
-    def test_small_modulus_rejected(self):
-        for m in (1, 0):
-            with pytest.raises(DomainError):
-                mod_pow(2, 3, m)
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(DomainError):
-            mod_pow(-2, 3, 5)
-        with pytest.raises(DomainError):
-            mod_pow(2, -3, 5)
-
-    def test_exhaustive_small_cube_against_naive(self):
-        for m in range(2, 20):
-            for a in range(20):
-                for e in range(20):
-                    assert mod_pow(a, e, m) == naive_mod_pow(a, e, m)
-
-    @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(2, 1000))
-    @settings(max_examples=300)
-    def test_matches_naive_up_to_1000(self, a, e, m):
-        assert mod_pow(a, e, m) == naive_mod_pow(a, e, m)
-
-    @given(st.integers(0, 10**9), st.integers(0, 10**5), st.integers(0, 10**5),
-           st.integers(2, 10**9))
-    @settings(max_examples=200)
-    def test_exponent_addition_homomorphism(self, a, e1, e2, m):
-        assert mod_pow(a, e1 + e2, m) == mod_pow(a, e1, m) * mod_pow(a, e2, m) % m
-
-
-class TestGcd:
-    def test_shared_factor(self):
-        assert gcd(3, 561) == 3
-
-    def test_coprime_pair(self):
-        assert gcd(8, 21) == 1
-
-    def test_zero_identity(self):
-        assert gcd(0, 7) == 7
-        assert gcd(7, 0) == 7
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(DomainError):
-            gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            gcd(-4, 6)
-
-    @given(st.integers(0, 10**12), st.integers(1, 10**12))
-    @settings(max_examples=300)
-    def test_divides_both_arguments(self, a, b):
-        g = gcd(a, b)
-        assert a % g == 0 and b % g == 0
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6))
-    @settings(max_examples=300)
-    def test_common_divisors_divide_the_gcd(self, d, x, y):
-        # d is a common divisor of (d*x, d*y) by construction
-        assert gcd(d * x, d * y) % d == 0
 
 
 class TestNaturalLogSquaredFloor:

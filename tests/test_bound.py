@@ -5,7 +5,7 @@ from mpmath import mp, mpf
 
 from carmlab.bound import (BoundVerdict, bound_closed_form, bound_curve,
                            bound_curve_slope, classify_by_bound, prime_factor_bound)
-from carmlab.census import census_carmichael_exact
+from carmlab.census import census_exact
 from carmlab.errors import DomainError
 from carmlab.factoring import factorize
 from carmlab.korselt import chernick
@@ -134,7 +134,7 @@ class TestClassifyByBound:
             fac = factorize(n)
             if classify_by_bound(n, fac) is BoundVerdict.GUARANTEED_BELOW_HALF:
                 confirmed += 1
-                census = census_carmichael_exact(n, fac)
+                census = census_exact(n, fac)
                 assert census.proportion_witnesses < half, n
         assert confirmed >= 2
 

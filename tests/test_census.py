@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carmlab.census import (DEFAULT_BRUTE_FORCE_CAP, CensusMethod, WitnessCensus,
-                            WitnessKind, census_brute_force, census_carmichael_exact,
+                            WitnessKind, census_brute_force, census_exact,
                             classify_witness)
 from carmlab.errors import CapExceededError, DomainError
-from carmlab.factoring import factorize, primes_up_to
+from carmlab.factoring import euler_phi, factorize, primes_up_to
+from carmlab.korselt import enumerate_carmichael
+from carmlab.reproduce import HIGH_WITNESS_CATALOG
 
 
 def naive_census(n):
@@ -74,8 +78,12 @@ class TestCensusBruteForce:
             assert (census.count_A, census.count_B, census.count_C) == naive_census(n)
 
     def test_above_cap_points_to_exact_census(self):
-        with pytest.raises(CapExceededError, match="census_carmichael_exact"):
+        with pytest.raises(CapExceededError, match="census_exact"):
             census_brute_force(DEFAULT_BRUTE_FORCE_CAP + 1)
+
+    def test_cap_keeps_uint64_products_exact(self):
+        # the vectorized kernel multiplies two residues below n in uint64
+        assert DEFAULT_BRUTE_FORCE_CAP < 2**32
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
@@ -96,50 +104,74 @@ class TestCensusBruteForce:
 
 class TestCensusCarmichaelExact:
     def test_worked_examples(self):
-        assert census_carmichael_exact(1105, factorize(1105)).proportion_witnesses \
+        assert census_exact(1105, factorize(1105)).proportion_witnesses \
             == 1 - Fraction(768, 1104)
-        assert census_carmichael_exact(1729, factorize(1729)).proportion_witnesses \
+        assert census_exact(1729, factorize(1729)).proportion_witnesses \
             == Fraction(1, 4)
 
     def test_catalog_tail_row(self):
         n = 11947816523586945
-        census = census_carmichael_exact(n, factorize(n))
+        census = census_exact(n, factorize(n))
         assert round(float(census.proportion_witnesses) * 100, 2) == 53.26
 
     def test_agrees_with_brute_force_for_all_small_carmichaels(self):
         carmichaels = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
                        29341, 41041, 46657, 52633, 62745, 63973, 75361]
         for n in carmichaels:
-            exact = census_carmichael_exact(n, factorize(n))
+            exact = census_exact(n, factorize(n))
             brute = census_brute_force(n)
             assert (exact.count_A, exact.count_B, exact.count_C) == \
                 (brute.count_A, brute.count_B, brute.count_C)
 
     def test_prime_input_allowed(self):
-        census = census_carmichael_exact(97, factorize(97))
+        census = census_exact(97, factorize(97))
         assert census.count_A == 96 and census.count_C == 0
 
-    def test_other_composite_rejected(self):
-        with pytest.raises(DomainError, match="neither prime nor Carmichael"):
-            census_carmichael_exact(21, factorize(21))
+    def test_other_composite_counted(self):
+        census = census_exact(21, factorize(21))
+        assert (census.count_A, census.count_B, census.count_C) == (4, 8, 8)
 
     def test_subject_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            census_carmichael_exact(561, factorize(1105))
+            census_exact(561, factorize(1105))
 
     def test_method_tag(self):
-        assert census_carmichael_exact(561, factorize(561)).method \
+        assert census_exact(561, factorize(561)).method \
             is CensusMethod.TOTIENT_EXACT
+
+
+class TestCensusExact:
+    """Monier's formula against brute force, for every kind of n."""
+
+    @staticmethod
+    def counts(census):
+        return census.count_A, census.count_B, census.count_C
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=3, max_value=10**5 - 1))
+    def test_matches_brute_force(self, n):
+        assert self.counts(census_exact(n, factorize(n))) == \
+            self.counts(census_brute_force(n))
+
+    def test_matches_brute_force_exhaustively_below_3000(self):
+        for n in range(3, 3000):
+            assert self.counts(census_exact(n, factorize(n))) == \
+                self.counts(census_brute_force(n)), n
+
+    def test_no_coprime_witness_for_primes_and_carmichaels(self):
+        # every input the totient-only census accepted: count_A = phi(n)
+        catalog = [math.prod(row.factors) for row in HIGH_WITNESS_CATALOG]
+        inputs = (enumerate_carmichael(10**5) + primes_up_to(10**4)[1:] + catalog)
+        for n in inputs:
+            fac = factorize(n)
+            census = census_exact(n, fac)
+            assert census.count_A == euler_phi(fac) and census.count_B == 0, n
 
 
 class TestWitnessCensusType:
     def test_partition_enforced(self):
         with pytest.raises(DomainError):
             WitnessCensus(21, 4, 8, 9, CensusMethod.BRUTE_FORCE)
-
-    def test_totient_method_requires_no_coprime_witnesses(self):
-        with pytest.raises(DomainError):
-            WitnessCensus(21, 4, 8, 8, CensusMethod.TOTIENT_EXACT)
 
     def test_json_round_trip_fields(self):
         record = census_brute_force(21).to_json_dict()

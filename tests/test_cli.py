@@ -4,7 +4,9 @@ import json
 import jsonschema
 import pytest
 
-from carmlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int, main
+import carmlab.cli
+from carmlab.bench import composite_for_bits
+from carmlab.cli import _MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int, main
 from carmlab.schemas import SCHEMAS
 
 
@@ -40,7 +42,7 @@ class TestCensusCommand:
         manifest = payload.pop("manifest")
         assert payload == {"n": 561, "count_A": 320, "count_B": 0, "count_C": 240,
                            "proportion_num": 3, "proportion_den": 7, "method": "BruteForce"}
-        assert manifest["parameters"] == {"cap": "10000000", "command": "census", "csv": "False",
+        assert manifest["parameters"] == {"command": "census", "csv": "False",
                                           "exact": "False", "json": "True", "n": "561"}
 
     def test_exact_census(self, capsys):
@@ -65,11 +67,12 @@ class TestCensusCommand:
 
     def test_cap_error(self, capsys):
         code, _, err = run(capsys, "census", "10_000_001")
-        assert code == EXIT_BUDGET and "census_carmichael_exact" in err
+        assert code == EXIT_BUDGET and "census_exact" in err
 
-    def test_exact_rejects_plain_composites(self, capsys):
-        code, _, err = run(capsys, "census", "21", "--exact")
-        assert code == EXIT_USAGE and "neither prime nor Carmichael" in err
+    def test_exact_counts_plain_composites(self, capsys):
+        payload = run_json(capsys, "census", "21", "--exact", "--json")
+        assert (payload["count_A"], payload["count_B"], payload["count_C"]) == (4, 8, 8)
+        assert payload["method"] == "TotientExact"
 
     def test_json_and_csv_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -194,6 +197,16 @@ class TestBoundCommand:
         jsonschema.validate(payload, SCHEMAS["bound"])
         assert payload["verdict"] is None
 
+    def test_no_factoring_unless_base_2_lies(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(carmlab.cli, "factorize", refuse)
+        payload = run_json(capsys, "bound", str(composite_for_bits(128)))
+        assert payload["verdict"] is None
+        monkeypatch.undo()
+        assert run_json(capsys, "bound", "561")["verdict"] == "Inconclusive"
+
     def test_bracket_straddles_root(self, capsys):
         payload = run_json(capsys, "bound", "1729")
         assert float(payload["root_lo"]) <= float(payload["x2"])
@@ -310,8 +323,25 @@ class TestIntegerParsing:
 
     def test_power_size_checked_before_computing(self, capsys):
         assert _parse_int("2**1024") == 1 << 1024
-        with pytest.raises(argparse.ArgumentTypeError, match="65536 bits"):
+        with pytest.raises(argparse.ArgumentTypeError, match="14000 bits"):
             _parse_int("2**100000")
         with pytest.raises(SystemExit) as exit_info:
             main(["census", "2**100000"])
+        assert exit_info.value.code == EXIT_USAGE
+
+    def test_largest_accepted_power_prints(self, capsys):
+        # str() of an int is limited to 4,300 digits
+        largest = _parse_int(f"2**{_MAX_INPUT_BITS - 1}")
+        assert largest.bit_length() == _MAX_INPUT_BITS and len(str(largest)) == 4215
+        with pytest.raises(argparse.ArgumentTypeError, match="exceeds"):
+            _parse_int(f"2**{_MAX_INPUT_BITS}")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", "2**20000"])
+        assert exit_info.value.code == EXIT_USAGE
+
+    def test_negative_exponent_is_not_an_integer(self, capsys):
+        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+            _parse_int("2**-1")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "--limit", "4**-1"])
         assert exit_info.value.code == EXIT_USAGE
