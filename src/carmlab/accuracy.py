@@ -24,10 +24,9 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .census import census_exact
-from .detector import default_sample_size
+from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
 from .errors import DomainError
 from .factoring import Factorization
-from .randutil import uniform_below
 
 _DPS = 50
 _EXACT_TAIL_MAX_T = 10_000
@@ -161,7 +160,7 @@ def _posterior_report(model: str, t: int, threshold, bit_length: int,
                               posterior=posterior, model=model)
 
 
-def posterior_composite_given(t: int, threshold=Fraction(45, 100),
+def posterior_composite_given(t: int, threshold=DEFAULT_THRESHOLD,
                               bit_length: int = 1024,
                               fraction_A=None, fraction_B=None) -> AccuracyReport:
     """Posterior that a composite flagged on the Carmichael side really is
@@ -170,7 +169,7 @@ def posterior_composite_given(t: int, threshold=Fraction(45, 100),
                              fraction_A, fraction_B)
 
 
-def posterior_general(t: int, threshold=Fraction(45, 100),
+def posterior_general(t: int, threshold=DEFAULT_THRESHOLD,
                       bit_length: int = 1024,
                       fraction_A=None, fraction_B=None) -> AccuracyReport:
     """Posterior for the prime-splitting variant: the hypothesis is
@@ -213,6 +212,8 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     """Draw `trials` independent t-base samples and histogram the witness
     proportion of each.
 
+    Each trial is one call of the detector's sampler, all on a single
+    random.Random(seed) stream; t defaults to the detector's floor((ln n)^2).
     When a factorization of n is supplied, the histogram carries the exact
     census mean and the model standard deviation for comparison.
     """
@@ -220,20 +221,11 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
         raise DomainError(f"n must be >= 3, got {n}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if t is None:
-        t = default_sample_size(n)
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
+    t = DetectorConfig(t_override=t).sample_size(n)
     rng = random.Random(seed)
-    exponent = n - 1
     counts = [0] * (t + 1)
     for _ in range(trials):
-        witnesses = 0
-        for _ in range(t):
-            a = 1 + uniform_below(rng, n - 1)
-            if pow(a, exponent, n) != 1:
-                witnesses += 1
-        counts[witnesses] += 1
+        counts[len(_sample_witnesses(n, t, rng))] += 1
     mean = sum(k * c for k, c in enumerate(counts)) / (t * trials)
     variance = sum(c * (k / t - mean) ** 2 for k, c in enumerate(counts))
     variance /= (trials - 1) if trials > 1 else 1

@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 from .factoring import Factorization
-from .korselt import certificate_from_factorization
+from .korselt import is_carmichael
 
 _PRECISION_BITS = 192
 DEFAULT_BRACKET_WIDTH = 1e-9
@@ -36,6 +36,14 @@ def _half_exponent(n: int) -> mpf:
     return -mp.log(2) / mp.log(n)
 
 
+def _curve(a: mpf, k: mpf) -> mpf:
+    return a ** (k + 1) - a + 1
+
+
+def _slope(a: mpf, k: mpf) -> mpf:
+    return (k + 1) * a ** k - 1
+
+
 def bound_curve(a, n: int) -> mpf:
     """a^(k+1) - a + 1 for the given n; positive at a = 1, one zero beyond."""
     if n < 3:
@@ -44,8 +52,7 @@ def bound_curve(a, n: int) -> mpf:
         point = mpf(a)
         if point < 1:
             raise DomainError(f"a must be >= 1, got {a}")
-        k = _half_exponent(n)
-        return point ** (k + 1) - point + 1
+        return _curve(point, _half_exponent(n))
 
 
 def bound_curve_slope(a, n: int) -> mpf:
@@ -53,9 +60,7 @@ def bound_curve_slope(a, n: int) -> mpf:
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
     with mp.workprec(_PRECISION_BITS):
-        point = mpf(a)
-        k = _half_exponent(n)
-        return (k + 1) * point ** k - 1
+        return _slope(mpf(a), _half_exponent(n))
 
 
 @dataclass(frozen=True)
@@ -80,32 +85,26 @@ class BoundEvaluation:
                 "root_hi": mp.nstr(hi, 17), "verdict": verdict}
 
 
-def prime_factor_bound(n: int, bracket_width: float = DEFAULT_BRACKET_WIDTH) -> BoundEvaluation:
+def prime_factor_bound(n: int) -> BoundEvaluation:
     """Two Newton steps from a = 1, plus a bisection bracket of the zero.
 
     x1 = 1 + log2(n) (the first step lands there exactly), then
     x2 = x1 - g(x1)/g'(x1).  Bisection of [1, x1] verifies that the zero
-    sits below x2, down to the requested bracket width.
+    sits below x2, down to a bracket width of DEFAULT_BRACKET_WIDTH.
     """
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
     with mp.workprec(_PRECISION_BITS):
         k = _half_exponent(n)
         x1 = 1 + mp.log(n) / mp.log(2)
-
-        def curve(a):
-            return a ** (k + 1) - a + 1
-
-        f_x1 = curve(x1)
+        f_x1 = _curve(x1, k)
         if f_x1 >= 0:
             raise ArithmeticError(f"curve unexpectedly non-negative at x1 for n={n}")
-        slope_x1 = (k + 1) * x1 ** k - 1
-        x2 = x1 - f_x1 / slope_x1
-        lo, hi = mpf(1), x1  # curve(1) = 1 > 0 > curve(x1)
-        width = mpf(bracket_width)
-        while hi - lo > width:
+        x2 = x1 - f_x1 / _slope(x1, k)
+        lo, hi = mpf(1), x1  # g(1) = 1 > 0 > g(x1)
+        while hi - lo > DEFAULT_BRACKET_WIDTH:
             mid = (lo + hi) / 2
-            if curve(mid) > 0:
+            if _curve(mid, k) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -139,9 +138,7 @@ def classify_by_bound(n: int, factorization: Factorization) -> BoundVerdict:
     The bound is a sufficient condition only: Inconclusive carries no
     information about the actual witness proportion.
     """
-    if factorization.subject != n:
-        raise DomainError("factorization does not describe n")
-    if not certificate_from_factorization(factorization).is_carmichael:
+    if not is_carmichael(n, factorization):
         raise DomainError(f"{n} is not a Carmichael number")
     evaluation = prime_factor_bound(n)
     with mp.workprec(_PRECISION_BITS):

@@ -24,11 +24,10 @@ from pathlib import Path
 from . import __version__
 from .accuracy import (empirical_proportion_distribution, posterior_composite_given,
                        posterior_general)
-from .arith import natural_log_squared_floor
 from .bench import DEFAULT_BIT_LENGTHS, run_benchmark
 from .bound import classify_by_bound, prime_factor_bound
 from .census import census_brute_force, census_exact
-from .detector import (DetectorConfig, detect_carmichael_composite,
+from .detector import (DEFAULT_THRESHOLD, DetectorConfig, detect_carmichael_composite,
                        detect_carmichael_general)
 from .errors import CapExceededError, DomainError, FactorizationError
 from .factoring import factorize
@@ -73,6 +72,11 @@ def _parse_int(text: str) -> int:
     if value != int(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(value)
+
+
+def _parse_bit_lengths(text: str) -> tuple[int, ...]:
+    """Colon-separated integers, e.g. 64:128:256."""
+    return tuple(_parse_int(piece) for piece in text.split(":"))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -173,7 +177,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
 # ------------------------------------------------------------------ bound
 
 def cmd_bound(args: argparse.Namespace) -> Report:
-    evaluation = prime_factor_bound(args.n, bracket_width=args.bracket_width)
+    evaluation = prime_factor_bound(args.n)
     verdict = None
     # a Carmichael number is odd, so base 2 is a Fermat liar for it; an n
     # that fails base 2 gets no verdict without being factored
@@ -192,7 +196,7 @@ def cmd_bound(args: argparse.Namespace) -> Report:
 def cmd_model(args: argparse.Namespace) -> Report:
     if args.bits > _MAX_INPUT_BITS:
         raise DomainError(f"--bits {args.bits} exceeds {_MAX_INPUT_BITS}")
-    t = args.t if args.t is not None else natural_log_squared_floor(2 ** args.bits)
+    t = DetectorConfig(t_override=args.t).sample_size(2 ** args.bits)
     build = posterior_general if args.general else posterior_composite_given
     report = build(t, threshold=args.threshold, bit_length=args.bits,
                    fraction_A=args.fraction_a, fraction_B=args.fraction_b)
@@ -273,8 +277,7 @@ def _proportions_text(report: dict) -> str:
 # ------------------------------------------------------------------ bench
 
 def cmd_bench(args: argparse.Namespace) -> Report:
-    bits = tuple(_parse_int(piece) for piece in args.bits.split(":"))
-    report = run_benchmark(bit_lengths=bits, t=args.t, repeats=args.repeats,
+    report = run_benchmark(bit_lengths=args.bits, t=args.t, repeats=args.repeats,
                            seed=args.seed)
     return Report(report.to_json_dict())
 
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--t", type=_parse_int, default=None,
                    help="sample size override (default floor((ln n)^2))")
-    p.add_argument("--threshold", type=_parse_fraction, default=Fraction(45, 100))
+    p.add_argument("--threshold", type=_parse_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--assume-composite", action="store_true",
                    help="skip the primality split; caller asserts n is composite")
     p.add_argument("--output")
@@ -327,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="smallest-prime-factor bound for one n")
     p.add_argument("n", type=_parse_int)
-    p.add_argument("--bracket-width", type=float, default=1e-9)
     p.add_argument("--output")
     p.set_defaults(handler=cmd_bound)
 
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=_parse_int, default=1024)
     p.add_argument("--t", type=_parse_int, default=None,
                    help="sample size (default floor((ln 2^bits)^2))")
-    p.add_argument("--threshold", type=_parse_fraction, default=Fraction(45, 100))
+    p.add_argument("--threshold", type=_parse_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--general", action="store_true",
                    help="model the prime-splitting variant instead")
     p.add_argument("--fraction-a", type=_parse_fraction, default=None,
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_reproduce)
 
     p = sub.add_parser("bench", help="classification cost versus bit length")
-    p.add_argument("--bits", default=":".join(str(b) for b in DEFAULT_BIT_LENGTHS),
+    p.add_argument("--bits", type=_parse_bit_lengths, default=DEFAULT_BIT_LENGTHS,
                    help="colon-separated bit lengths, e.g. 64:128:256")
     p.add_argument("--t", type=_parse_int, default=16)
     p.add_argument("--repeats", type=_parse_int, default=3)

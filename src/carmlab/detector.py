@@ -102,16 +102,16 @@ class Verdict:
                 "seed": self.seed, "probabilistic": self.probabilistic}
 
 
-def _sample_witnesses(n: int, cfg: DetectorConfig) -> tuple[int, list[int]]:
-    t = cfg.sample_size(n)
-    rng = random.Random(cfg.rng_seed)
+def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
+    """The Fermat witnesses among t bases drawn from {1, ..., n-1} on rng;
+    the detector and the accuracy histogram both sample through it."""
     exponent = n - 1
     witnesses = []
     for _ in range(t):
         a = 1 + uniform_below(rng, n - 1)
         if pow(a, exponent, n) != 1:
             witnesses.append(a)
-    return t, witnesses
+    return witnesses
 
 
 def detect_carmichael_composite(n: int, cfg: DetectorConfig | None = None) -> Verdict:
@@ -124,7 +124,8 @@ def detect_carmichael_composite(n: int, cfg: DetectorConfig | None = None) -> Ve
     if n < 4:
         raise DomainError(f"composite classification needs n >= 4, got {n}")
     cfg = cfg or DetectorConfig()
-    t, witnesses = _sample_witnesses(n, cfg)
+    t = cfg.sample_size(n)
+    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed))
     common = dict(n=n, sample_size=t, witnesses_found=len(witnesses),
                   threshold=cfg.threshold, seed=cfg.rng_seed)
     if Fraction(len(witnesses), t) < cfg.threshold:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .factoring import (DEFAULT_BUDGET, FactorBudget, Factorization, factorize,
-                        is_prime, primes_up_to)
+from .factoring import Factorization, factorize, is_prime, primes_up_to
 
 DEFAULT_ENUMERATION_CAP = 100_000_000
 _BLOCK_ODDS = 1 << 19  # odd candidates per sieve block
@@ -53,25 +52,20 @@ class CarmichaelCertificate:
                 "is_carmichael": self.is_carmichael}
 
 
-def certificate_from_factorization(factorization: Factorization) -> CarmichaelCertificate:
-    n = factorization.subject
-    checks = tuple((p, (n - 1) % (p - 1) == 0) for p in factorization.primes)
-    return CarmichaelCertificate(n, factorization, factorization.squarefree, checks)
-
-
-def is_carmichael(n: int, factorization: Factorization | None = None,
-                  budget: FactorBudget = DEFAULT_BUDGET) -> CarmichaelCertificate:
+def is_carmichael(n: int, factorization: Factorization | None = None) -> CarmichaelCertificate:
     """Certificate for n; use its truth value for the plain verdict.
 
+    Without a factorization, n is factored under the default budget.
     Primes and 1 yield a falsy certificate (not composite).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if factorization is None:
-        factorization = Factorization(1, ()) if n == 1 else factorize(n, budget)
+        factorization = Factorization(1, ()) if n == 1 else factorize(n)
     elif factorization.subject != n:
         raise DomainError("factorization does not describe n")
-    return certificate_from_factorization(factorization)
+    checks = tuple((p, (n - 1) % (p - 1) == 0) for p in factorization.primes)
+    return CarmichaelCertificate(n, factorization, factorization.squarefree, checks)
 
 
 def chernick(m: int) -> int | None:

@@ -10,6 +10,7 @@ from carmlab.accuracy import (binomial_tail_exact, carmichael_prior,
                               posterior_composite_given, posterior_general,
                               prime_prior, z_score)
 from carmlab.census import census_brute_force
+from carmlab.detector import DetectorConfig, detect_carmichael_composite
 from carmlab.errors import DomainError
 from carmlab.factoring import factorize
 
@@ -236,6 +237,42 @@ class TestEmpiricalDistribution:
             empirical_proportion_distribution(2, t=5, trials=10)
         with pytest.raises(DomainError):
             empirical_proportion_distribution(561, t=5, trials=0)
+        with pytest.raises(DomainError, match="t must be >= 1, got 0"):
+            empirical_proportion_distribution(561, t=0, trials=10)
+
+    def test_default_t_is_the_detectors(self):
+        for n in (21, 561, 10**6 + 3):
+            hist = empirical_proportion_distribution(n, trials=2)
+            assert hist.t == DetectorConfig().sample_size(n)
+
+    @pytest.mark.parametrize("n", [21, 91, 561, 1105, 1729, 8911, 10**6 + 9])
+    def test_one_trial_is_one_detector_run(self, n):
+        for t in (1, 7, 40):
+            for seed in range(4):
+                hist = empirical_proportion_distribution(n, t=t, trials=1, seed=seed)
+                verdict = detect_carmichael_composite(
+                    n, DetectorConfig(t_override=t, rng_seed=seed))
+                assert hist.counts[verdict.witnesses_found] == 1, (n, t, seed)
+
+    @pytest.mark.parametrize("n, t, trials, seed, record", [
+        (561, 40, 200, 3, {
+            "n": 561, "t": 40, "trials": 200, "seed": 3,
+            "counts": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 8, 9, 15, 16, 18, 26, 26, 33,
+                       14, 12, 8, 6, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "mean": 0.43525, "stddev": 0.07652100903752251,
+            "expected_mean_num": 3, "expected_mean_den": 7,
+            "sigma_model": 0.0782691565065959}),
+        (91, 7, 300, 0, {
+            "n": 91, "t": 7, "trials": 300, "seed": 0,
+            "counts": [1, 7, 32, 63, 75, 79, 36, 7],
+            "mean": 0.580952380952381, "stddev": 0.1945729213162854,
+            "expected_mean_num": 3, "expected_mean_den": 5,
+            "sigma_model": 0.18481711337847959}),
+    ])
+    def test_seeded_histogram_is_pinned(self, n, t, trials, seed, record):
+        hist = empirical_proportion_distribution(n, factorize(n), t=t,
+                                                 trials=trials, seed=seed)
+        assert hist.to_json_dict() == record
 
 
 class TestBinomialTailExact:

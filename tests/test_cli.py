@@ -212,6 +212,12 @@ class TestBoundCommand:
         assert float(payload["root_lo"]) <= float(payload["x2"])
         assert float(payload["root_hi"]) - float(payload["root_lo"]) <= 1.1e-9
 
+    def test_bracket_width_is_not_a_flag(self, capsys):
+        # the bisection always narrows to DEFAULT_BRACKET_WIDTH
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bound", "561", "--bracket-width", "1e-3"])
+        assert exit_info.value.code == EXIT_USAGE
+
 
 class TestModelCommand:
     def test_posterior_at_1024_bits(self, capsys):
@@ -301,6 +307,12 @@ class TestBenchCommand:
         jsonschema.validate(payload, SCHEMAS["bench"])
         assert len(payload["points"]) == 3
         assert payload["slope_limit"] == 3.5
+
+    def test_bad_bit_length_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--bits", "64:abc"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "'abc' is not an integer" in capsys.readouterr().err
 
 
 class TestSchemaCommand:

@@ -156,7 +156,7 @@ class TestGeneralDetector:
                 assert detect_carmichael_general(n, cfg) == detect_carmichael_composite(n, cfg), (n, seed)
 
     def test_prime_makes_no_draws(self, monkeypatch):
-        def no_draws(n, cfg):
+        def no_draws(n, t, rng):
             raise AssertionError(f"drew bases for the prime {n}")
         monkeypatch.setattr("carmlab.detector._sample_witnesses", no_draws)
         for n in (2, 3, 1009, 2**128 - 159):
