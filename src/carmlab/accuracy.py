@@ -190,7 +190,7 @@ class ProportionHistogram:
     mean: float
     stddev: float                   # sample standard deviation (ddof = 1)
     expected_mean: Fraction | None  # exact census proportion, when available
-    sigma_model: float | None       # sqrt((A/n)(1 - A/n)/t), when available
+    sigma_model: float | None       # sqrt((A/(n-1))(1 - A/(n-1))/t), when available
 
     def csv_rows(self) -> list[tuple[float, float, int]]:
         """(bin_lo, bin_hi, count) rows; bin k covers proportion k/t."""
@@ -234,7 +234,7 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     if factorization is not None:
         census = census_exact(n, factorization)
         expected_mean = census.proportion_witnesses
-        fraction_a = Fraction(census.count_A, n)
+        fraction_a = Fraction(census.count_A, n - 1)  # share of liars among the bases drawn
         sigma_model = math.sqrt(float(fraction_a * (1 - fraction_a)) / t)
     return ProportionHistogram(n=n, t=t, trials=trials, seed=seed,
                                counts=tuple(counts), mean=mean,

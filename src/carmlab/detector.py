@@ -7,25 +7,35 @@ proportion stays under the threshold (Carmichael) or the marked bases are
 scanned for one coprime to n (a non-trivial witness proves "other
 composite"; none found means Carmichael).
 
+The draws are tested so that they can prove n Carmichael on the way,
+without changing which bases are witnesses: with n - 1 = 2^s * d, each
+a^(n-1) is a^d squared s times, and gcds with a witness or with the liar
+chain's values minus one split n. Once its factors are proven primes and
+pass Korselt's criterion, a base is a Fermat witness exactly when
+gcd(a, n) > 1, so each remaining draw costs a gcd, not a powmod.
+
 detect_carmichael_general accepts any n >= 2 and runs the primality test
 first. A composite goes on to the composite detector. A prime is labelled
 Prime at once: every base is a Fermat liar for a prime, so its t draws
 would find 0 witnesses, and the verdict reports t and 0 witnesses without
 making them. Above DETERMINISTIC_WITNESS_BOUND that test is probabilistic,
-and such a Prime verdict carries probabilistic=True.
+and such a Prime verdict carries basis ProbablePrime and probabilistic=True.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .arith import natural_log_squared_floor
 from .errors import DomainError
-from .factoring import prime_check
+from .factoring import Factorization, PrimalityCheck, prime_check
+from .korselt import is_carmichael
 from .randutil import uniform_below
 
 SEED_MASK = (1 << 64) - 1
@@ -43,6 +53,7 @@ class Basis(Enum):
     NO_NON_TRIVIAL_WITNESS_FOUND = "NoNonTrivialWitnessFound"
     NON_TRIVIAL_WITNESS_FOUND = "NonTrivialWitnessFound"
     DETERMINISTIC_PRIMALITY = "DeterministicPrimality"
+    PROBABLE_PRIME = "ProbablePrime"
 
 
 def default_sample_size(n: int) -> int:
@@ -92,6 +103,8 @@ class Verdict:
             raise DomainError("OtherComposite requires witness evidence")
         if self.probabilistic and self.label is not Label.PRIME:
             raise DomainError("only a Prime verdict can be probabilistic")
+        if self.probabilistic != (self.basis is Basis.PROBABLE_PRIME):
+            raise DomainError("a verdict is probabilistic exactly when its basis is ProbablePrime")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "label": self.label.value, "basis": self.basis.value,
@@ -104,14 +117,72 @@ class Verdict:
 
 def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
     """The Fermat witnesses among t bases drawn from {1, ..., n-1} on rng;
-    the detector and the accuracy histogram both sample through it."""
-    exponent = n - 1
-    witnesses = []
-    for _ in range(t):
-        a = 1 + uniform_below(rng, n - 1)
-        if pow(a, exponent, n) != 1:
-            witnesses.append(a)
+    the detector and the accuracy histogram both sample through it.
+
+    The first draws go to _proves_carmichael. If they prove n Carmichael,
+    a base is a witness exactly when it shares a factor with n, so the
+    remaining draws need a gcd each; otherwise they are tested with
+    a^(n-1) mod n. Either way the witnesses are the same, in draw order.
+    """
+    draws = (1 + uniform_below(rng, n - 1) for _ in range(t))
+    witnesses: list[int] = []
+    if _proves_carmichael(n, draws, witnesses):
+        witnesses += [a for a in draws if math.gcd(a, n) != 1]
+    else:
+        exponent = n - 1
+        witnesses += [a for a in draws if pow(a, exponent, n) != 1]
     return witnesses
+
+
+def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bool:
+    """Fermat-test draws until they prove n Carmichael (True) or show that
+    they cannot (False), appending the witnesses met on the way.
+
+    With n - 1 = 2^s * d, a^(n-1) is computed as a^d squared s times. A
+    witness sharing no factor with n proves n is not Carmichael. Otherwise
+    the factors of n are refined by gcd(a, n) for a witness, and by
+    gcd(c - 1, n) for every value c of a liar's chain: since lambda(n)
+    divides n - 1 for a Carmichael n, at least 3/4 of its units split it
+    this way (Miller 1976; Monier 1980). Once every factor is a proven
+    prime, Korselt's criterion decides. A factor that is only probably
+    prime ends the attempt, and so does a prime n, on its first draw.
+    """
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    factors = [n]
+    checks: dict[int, PrimalityCheck] = {}
+    for a in draws:
+        x = pow(a, d, n)
+        splitters = [x - 1]
+        for _ in range(s):
+            x = x * x % n
+            splitters.append(x - 1)
+        if x != 1:
+            witnesses.append(a)
+            g = math.gcd(a, n)
+            if g == 1:
+                return False
+            splitters = [g]
+        factors = [part for m in factors for part in _split(m, splitters)]
+        checks = {m: checks.get(m) or prime_check(m) for m in factors}
+        if any(check.probabilistic for check in checks.values()):
+            return False
+        if all(check.is_prime for check in checks.values()):
+            found = Factorization(n, tuple(sorted(Counter(factors).items())))
+            return bool(is_carmichael(n, found))
+    return False
+
+
+def _split(m: int, splitters: list[int]) -> list[int]:
+    """m broken into the parts that gcds with the splitters expose."""
+    parts = [m]
+    for g in splitters:
+        refined = []
+        for part in parts:
+            h = math.gcd(g, part)
+            refined += [h, part // h] if 1 < h < part else [part]
+        parts = refined
+    return parts
 
 
 def detect_carmichael_composite(n: int, cfg: DetectorConfig | None = None) -> Verdict:
@@ -156,7 +227,8 @@ def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verd
     check = prime_check(n)
     if not check.is_prime:
         return detect_carmichael_composite(n, cfg)
-    return Verdict(n=n, label=Label.PRIME, basis=Basis.DETERMINISTIC_PRIMALITY,
+    basis = Basis.PROBABLE_PRIME if check.probabilistic else Basis.DETERMINISTIC_PRIMALITY
+    return Verdict(n=n, label=Label.PRIME, basis=basis,
                    sample_size=cfg.sample_size(n), witnesses_found=0, evidence=None,
                    threshold=cfg.threshold, seed=cfg.rng_seed,
                    probabilistic=check.probabilistic)

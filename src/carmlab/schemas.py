@@ -44,7 +44,8 @@ VERDICT_SCHEMA = {
         "n": {"type": "integer", "minimum": 2},
         "label": {"enum": ["Carmichael", "OtherComposite", "Prime"]},
         "basis": {"enum": ["ProportionBelowThreshold", "NoNonTrivialWitnessFound",
-                           "NonTrivialWitnessFound", "DeterministicPrimality"]},
+                           "NonTrivialWitnessFound", "DeterministicPrimality",
+                           "ProbablePrime"]},
         "t": {"type": "integer", "minimum": 1},
         "threshold": {"type": "string", "pattern": r"^\d+/\d+$"},
         "witnesses_found": {"type": "integer", "minimum": 0},

@@ -212,7 +212,7 @@ class TestEmpiricalDistribution:
         hist = empirical_proportion_distribution(21, factorize(21), t=5,
                                                  trials=50, seed=0)
         assert hist.expected_mean == census_brute_force(21).proportion_witnesses
-        fraction_a = Fraction(4, 21)
+        fraction_a = Fraction(4, 20)
         assert hist.sigma_model == math.sqrt(float(fraction_a * (1 - fraction_a)) / 5)
 
     def test_prime_expected_mean_is_zero(self):
@@ -261,13 +261,13 @@ class TestEmpiricalDistribution:
                        14, 12, 8, 6, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             "mean": 0.43525, "stddev": 0.07652100903752251,
             "expected_mean_num": 3, "expected_mean_den": 7,
-            "sigma_model": 0.0782691565065959}),
+            "sigma_model": 0.07824607964359516}),
         (91, 7, 300, 0, {
             "n": 91, "t": 7, "trials": 300, "seed": 0,
             "counts": [1, 7, 32, 63, 75, 79, 36, 7],
             "mean": 0.580952380952381, "stddev": 0.1945729213162854,
             "expected_mean_num": 3, "expected_mean_den": 5,
-            "sigma_model": 0.18481711337847959}),
+            "sigma_model": 0.1851640199545103}),
     ])
     def test_seeded_histogram_is_pinned(self, n, t, trials, seed, record):
         hist = empirical_proportion_distribution(n, factorize(n), t=t,

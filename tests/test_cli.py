@@ -110,6 +110,9 @@ class TestClassifyCommand:
         payload = run_json(capsys, "classify", n)
         jsonschema.validate(payload, SCHEMAS["verdict"])
         assert payload["probabilistic"] is probabilistic
+        if payload["label"] == "Prime":
+            assert payload["basis"] == ("ProbablePrime" if probabilistic
+                                        else "DeterministicPrimality")
 
     def test_assume_composite(self, capsys):
         payload = run_json(capsys, "classify", "21", "--seed", "7",

@@ -165,6 +165,8 @@ class TestGeneralDetector:
             assert verdict.sample_size == default_sample_size(n)
             assert verdict.witnesses_found == 0 and verdict.evidence is None
             assert verdict.probabilistic is (n > DETERMINISTIC_WITNESS_BOUND)
+            assert verdict.basis is (Basis.PROBABLE_PRIME if verdict.probabilistic
+                                     else Basis.DETERMINISTIC_PRIMALITY)
 
     @pytest.mark.parametrize("n, seed, record", [
         (1009, 7, {"n": 1009, "label": "Prime", "basis": "DeterministicPrimality", "t": 47,
@@ -208,6 +210,14 @@ class TestVerdictType:
                     basis=Basis.NO_NON_TRIVIAL_WITNESS_FOUND, sample_size=5,
                     witnesses_found=0, evidence=None,
                     threshold=Fraction(45, 100), seed=0, probabilistic=True)
+
+    def test_probabilistic_exactly_when_probable_prime(self):
+        for basis, probabilistic in ((Basis.PROBABLE_PRIME, False),
+                                     (Basis.DETERMINISTIC_PRIMALITY, True)):
+            with pytest.raises(DomainError):
+                Verdict(n=2**127 - 1, label=Label.PRIME, basis=basis, sample_size=5,
+                        witnesses_found=0, evidence=None,
+                        threshold=Fraction(45, 100), seed=0, probabilistic=probabilistic)
 
     def test_other_composite_requires_evidence(self):
         with pytest.raises(DomainError):
