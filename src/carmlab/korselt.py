@@ -1,8 +1,11 @@
 """Korselt's criterion: certification, the (6m+1)(12m+1)(18m+1) family,
-and bulk enumeration by a blocked factor sieve.
+and bulk enumeration by a blocked sieve.
 
 A composite n is Carmichael exactly when it is squarefree and (p - 1)
-divides (n - 1) for every prime p dividing n.
+divides (n - 1) for every prime p dividing n.  For a prime p dividing n,
+the divisibility is the residue class n = p (mod p(p - 1)), the form on
+which Pinch's counts rest ("The Carmichael numbers up to 10^21", 2007);
+the sieve strides along these classes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import CapExceededError, DomainError
 from .factoring import Factorization, factorize, is_prime, primes_up_to
 
 DEFAULT_ENUMERATION_CAP = 100_000_000
+# The sieve's upper end: its prime table up to sqrt(hi) stays near 10 MB and
+# every int64 value and product in a block stays exact.
+SIEVE_HI_CAP = 10**14
 _BLOCK_ODDS = 1 << 19  # odd candidates per sieve block
 
 
@@ -86,10 +92,9 @@ def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
                          jobs: int = 1) -> list[int]:
     """All Carmichael numbers <= limit, in increasing order.
 
-    Blocked factor sieve over the odd candidates: shared scans over the
-    primes below sqrt(limit) factor every candidate, and Korselt's
-    conditions are applied as the factors appear, so the per-candidate
-    cost is amortized instead of a fresh factorization each.  With
+    Blocked sieve over the odd candidates: each prime below sqrt(limit)
+    keeps only its multiples that pass its Korselt check, so no candidate
+    is factored and only the survivors are divided (see _scan_block).  With
     jobs > 1, contiguous spans run in up to min(jobs, cpu count) worker
     processes and concatenate in order.
     """
@@ -112,7 +117,10 @@ def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
 
 def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
     """Carmichael numbers in [lo, hi]; blocks are independent, so disjoint
-    ranges can run concurrently and concatenate in order."""
+    ranges can run concurrently and concatenate in order.  hi above
+    SIEVE_HI_CAP raises CapExceededError before anything is allocated."""
+    if hi > SIEVE_HI_CAP:
+        raise CapExceededError(f"hi {hi} exceeds the sieve cap {SIEVE_HI_CAP}")
     lo = max(lo, 3)
     if hi < 9:  # smallest odd composite is 9
         return []
@@ -128,32 +136,47 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
     return found
 
 
+def _progression(residue: int, modulus: int, lo: int, count: int) -> slice:
+    """Block indices of the n = residue (mod modulus) from odd lo, for an odd
+    residue and an even modulus; index i holds lo + 2i."""
+    return slice((residue - lo) % modulus // 2, count, modulus // 2)
+
+
 def _scan_block(lo: int, hi: int, primes: list[int]) -> list[int]:
-    """Korselt scan of the odd values in [lo, hi]; primes covers sqrt(hi)."""
+    """Korselt scan of the odd values in [lo, hi]; primes covers sqrt(hi).
+
+    For a prime p dividing n, (p - 1) | (n - 1) holds exactly when
+    n = p (mod p(p - 1)), the residue-class form of Korselt's criterion
+    that Pinch's counts rest on (Pinch, "The Carmichael numbers up to
+    10^21", 2007). So each sieving prime clears every odd multiple of p
+    except those on that progression, which is p - 1 times sparser, and
+    records p there; then it clears the odd multiples of p^2. Only the
+    survivors are divided: what remains of n after its recorded primes is
+    1 or a single prime r above sqrt(hi), which must satisfy
+    (r - 1) | (n - 1).
+    """
     count = (hi - lo) // 2 + 1
-    n_vals = lo + 2 * np.arange(count, dtype=np.int64)
-    remainder = n_vals.copy()
     ok = np.ones(count, dtype=bool)
-    distinct = np.zeros(count, dtype=np.int64)
+    found = np.ones(count, dtype=np.int64)  # product of the recorded primes
+    distinct = np.zeros(count, dtype=np.uint8)
     for p in primes:
         if p * p > hi:
             break
-        first = ((lo + p - 1) // p) * p
-        if first % 2 == 0:
-            first += p
-        if first > hi:
+        multiples = _progression(p, 2 * p, lo, count)  # odd multiples of p
+        if multiples.start >= count:
             continue
-        # odd multiples of p sit p index positions apart
-        sl = slice((first - lo) // 2, count, p)
-        nv = n_vals[sl]
-        if p > 3:  # (n-1) % 2 == 0 always holds for odd n
-            ok[sl] &= (nv - 1) % (p - 1) == 0
-        ok[sl] &= nv % (p * p) != 0  # squarefree
-        remainder[sl] //= p
-        distinct[sl] += 1
-    # what survives division is either 1 or a single prime above sqrt(hi)
-    has_residual = remainder > 1
-    ok &= distinct + has_residual >= 2  # composite: at least two distinct primes
-    pending = ok & has_residual
-    ok[pending] = (n_vals[pending] - 1) % (remainder[pending] - 1) == 0
-    return n_vals[ok].tolist()
+        passing = _progression(p, p * (p - 1), lo, count)
+        kept = ok[passing].copy()
+        ok[multiples] = False
+        ok[passing] = kept
+        found[passing] *= p
+        distinct[passing] += 1
+        ok[_progression(p * p, 2 * p * p, lo, count)] = False  # squarefree
+    index = np.flatnonzero(ok)
+    n_vals = lo + 2 * index
+    residual = n_vals // found[index]
+    has_residual = residual > 1
+    keep = distinct[index] + has_residual >= 2  # composite: at least two distinct primes
+    pending = keep & has_residual
+    keep[pending] = (n_vals[pending] - 1) % (residual[pending] - 1) == 0
+    return n_vals[keep].tolist()

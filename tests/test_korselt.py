@@ -1,5 +1,10 @@
+import bisect
 import math
+import random
+import time
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +12,14 @@ from hypothesis import strategies as st
 from carmlab import korselt
 from carmlab.errors import CapExceededError, DomainError
 from carmlab.factoring import factorize
-from carmlab.korselt import (CarmichaelCertificate, chernick, enumerate_carmichael,
-                             enumerate_carmichael_range, is_carmichael)
+from carmlab.korselt import (SIEVE_HI_CAP, CarmichaelCertificate, chernick,
+                             enumerate_carmichael, enumerate_carmichael_range,
+                             is_carmichael)
 
 CARMICHAELS_TO_1E5 = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
                       29341, 41041, 46657, 52633, 62745, 63973, 75361]
+# Pinch, "The Carmichael numbers up to 10^21" (OEIS A055553)
+PINCH_COUNTS = {10**6: 43, 10**7: 105, 10**8: 255}
 
 
 def definitional_carmichael(n):
@@ -145,6 +153,89 @@ class TestEnumerate:
     def test_range_handles_even_bounds(self):
         assert enumerate_carmichael_range(560, 562) == [561]
         assert enumerate_carmichael_range(562, 1106) == [1105]
+
+    @pytest.mark.parametrize("lo, hi", [(2**63 - 10, 2**63), (3, SIEVE_HI_CAP + 1)])
+    def test_range_above_sieve_cap_rejected_at_once(self, lo, hi):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            enumerate_carmichael_range(lo, hi)
+        assert time.perf_counter() - start < 1
+
+    def test_pinch_counts_to_1e8(self):
+        listing = enumerate_carmichael(10**8)
+        counts = {limit: bisect.bisect_right(listing, limit) for limit in PINCH_COUNTS}
+        assert counts == PINCH_COUNTS
+
+
+def reference_scan_block(lo, hi, primes):
+    """The per-multiple sieve that _scan_block replaced: every multiple of
+    every sieving prime is divided by p, reduced mod p^2 and mod p - 1."""
+    count = (hi - lo) // 2 + 1
+    n_vals = lo + 2 * np.arange(count, dtype=np.int64)
+    remainder = n_vals.copy()
+    ok = np.ones(count, dtype=bool)
+    distinct = np.zeros(count, dtype=np.int64)
+    for p in primes:
+        if p * p > hi:
+            break
+        first = ((lo + p - 1) // p) * p
+        if first % 2 == 0:
+            first += p
+        if first > hi:
+            continue
+        # odd multiples of p sit p index positions apart
+        sl = slice((first - lo) // 2, count, p)
+        nv = n_vals[sl]
+        if p > 3:  # (n-1) % 2 == 0 always holds for odd n
+            ok[sl] &= (nv - 1) % (p - 1) == 0
+        ok[sl] &= nv % (p * p) != 0  # squarefree
+        remainder[sl] //= p
+        distinct[sl] += 1
+    # what survives division is either 1 or a single prime above sqrt(hi)
+    has_residual = remainder > 1
+    ok &= distinct + has_residual >= 2  # composite: at least two distinct primes
+    pending = ok & has_residual
+    ok[pending] = (n_vals[pending] - 1) % (remainder[pending] - 1) == 0
+    return n_vals[ok].tolist()
+
+
+def reference_range(lo, hi):
+    with mock.patch.object(korselt, "_scan_block", reference_scan_block):
+        return enumerate_carmichael_range(lo, hi)
+
+
+def assert_sieves_agree(lo, hi):
+    listing = enumerate_carmichael_range(lo, hi)
+    assert listing == reference_range(lo, hi), (lo, hi)
+    return listing
+
+
+class TestSieveAgainstReference:
+    def test_every_small_lo(self):
+        # blocks that hold n = p itself and the first multiples of p^2
+        for lo in range(1200):
+            for width in (0, 1, 7, 60, 500, 4000):
+                assert_sieves_agree(lo, lo + width)
+
+    def test_random_windows_below_3e6(self):
+        rng = random.Random(2007)
+        for _ in range(150):
+            lo = rng.randrange(3 * 10**6)
+            assert_sieves_agree(lo, lo + rng.randrange(300_000))
+
+    def test_windows_around_chernick_numbers(self):
+        numbers = [n for n in map(chernick, range(80, 400)) if n and 10**9 <= n <= 10**11]
+        assert len(numbers) == 9
+        for n in numbers:
+            assert n in assert_sieves_agree(n - 500_000, n + 500_000)
+
+    def test_window_at_1e12(self):
+        assert_sieves_agree(10**12, 10**12 + 10**6)
+
+    @given(st.integers(0, 10**7), st.integers(0, 300_000))
+    @settings(max_examples=40)
+    def test_random_window_property(self, lo, width):
+        assert_sieves_agree(lo, lo + width)
 
 
 @pytest.fixture
