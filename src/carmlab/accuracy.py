@@ -52,19 +52,10 @@ def normal_cdf(z) -> mpf:
         return mp.erfc(-_to_mpf(z) / mp.sqrt(2)) / 2
 
 
-def _checked_threshold(threshold, t: int) -> Fraction:
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    thr = _as_fraction(threshold)
-    if not 0 < thr < 1:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    return thr
-
-
 def z_score(threshold, t: int) -> mpf:
     """Standardized distance of the threshold from the worst-case mean 1/2:
     (threshold - 1/2) / sqrt((1/t) * (1/2) * (1/2))."""
-    thr = _checked_threshold(threshold, t)
+    thr = DetectorConfig(t_override=t, threshold=_as_fraction(threshold)).threshold
     with mp.workdps(_DPS):
         return (_to_mpf(thr) - mpf(1) / 2) / mp.sqrt(mpf(1) / (4 * t))
 
@@ -130,7 +121,7 @@ class AccuracyReport:
 
 def _posterior_report(model: str, t: int, threshold, bit_length: int,
                       fraction_A, fraction_B) -> AccuracyReport:
-    thr = _checked_threshold(threshold, t)
+    thr = DetectorConfig(t_override=t, threshold=_as_fraction(threshold)).threshold
     fa = Fraction(1, 2) if fraction_A is None else _as_fraction(fraction_A)
     fb = Fraction(1, 2) if fraction_B is None else _as_fraction(fraction_B)
     if not (0 <= fa <= 1 and 0 <= fb <= 1):
@@ -252,12 +243,10 @@ def binomial_tail_exact(threshold, t: int, witness_fraction) -> Fraction:
     """
     if not 1 <= t <= _EXACT_TAIL_MAX_T:
         raise DomainError(f"exact tail supports 1 <= t <= {_EXACT_TAIL_MAX_T}, got {t}")
-    thr = _as_fraction(threshold)
     w = _as_fraction(witness_fraction)
     if not 0 <= w <= 1:
         raise DomainError(f"witness_fraction must lie in [0, 1], got {witness_fraction}")
-    if not 0 < thr < 1:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
+    thr = DetectorConfig(threshold=_as_fraction(threshold)).threshold
     top = math.ceil(thr * t) - 1  # largest k with k/t < threshold
     num, den = w.numerator, w.denominator
     complement = den - num

@@ -14,6 +14,8 @@ are 0 on success, 2 for domain/usage errors, 3 for budget or cap errors,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -114,8 +116,9 @@ def _emit(report: Report, args: argparse.Namespace) -> None:
         if report.csv is None:
             raise DomainError(f"{args.command} output has no CSV form")
         header, rows = report.csv
-        body = "".join(",".join(str(cell) for cell in row) + "\n"
-                       for row in [header, *rows])
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        body = buffer.getvalue()
     else:
         body = report.text + "\n" if report.text else ""
     if not args.output:
@@ -221,15 +224,15 @@ def cmd_reproduce(args: argparse.Namespace) -> Report:
     if args.proportions:
         report = reproduce_proportion_examples()
         return Report(report, text=_proportions_text(report))
+    n = args.n if args.n is not None else 1729 if args.figure == 1 else 561
     if args.figure == 1:
-        series = bound_curve_series(n=args.n or 1729)
+        series = bound_curve_series(n)
         return Report({"series": series},
                       csv=(["a", "value"], [[f"{p['a']:.6f}", f"{p['value']:.12g}"]
                                             for p in series]))
     # --figure 2; argparse requires exactly one mode
     histogram = empirical_proportion_distribution(
-        args.n or 561, factorize(args.n or 561),
-        t=args.t, trials=args.trials, seed=args.seed)
+        n, factorize(n), t=args.t, trials=args.trials, seed=args.seed)
     return Report(histogram.to_json_dict(),
                   csv=(["bin_lo", "bin_hi", "count"],
                        [[f"{lo:.8f}", f"{hi:.8f}", count]

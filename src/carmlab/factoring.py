@@ -145,7 +145,6 @@ class Factorization:
 class FactorBudget:
     """Effort limits for factorize; exceeding them raises rather than hangs."""
 
-    trial_limit: int = 1_000_000
     rho_restarts: int = 24
     rho_max_steps: int = 1 << 21
 
@@ -165,9 +164,8 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Complete factorization of n >= 2 within the given effort budget.
 
     Trial division by the cached small primes, then Brent's rho with
-    per-n deterministic parameters, falling back to extended trial
-    division; raises FactorizationError carrying the partial result when
-    the budget runs out.
+    per-n deterministic parameters; raises FactorizationError carrying the
+    partial result when the budget runs out.
     """
     if n < 2:
         raise DomainError(f"factorize needs n >= 2, got {n}")
@@ -211,11 +209,6 @@ def _split_composite(c: int, budget: FactorBudget) -> int | None:
         divisor = _brent_rho(c, offset, budget.rho_max_steps)
         if divisor is not None:
             return divisor
-    p = _SMALL_PRIMES[-1] + 2
-    while p <= budget.trial_limit and p * p <= c:
-        if c % p == 0:
-            return p
-        p += 2
     return None
 
 

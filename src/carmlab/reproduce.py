@@ -3,9 +3,10 @@
 Three reference sets ship with the package: the Fermat-test residue row
 for n = 21, a sixteen-row catalog of Carmichael numbers whose witness
 proportion exceeds 50%, and three worked proportion examples.  The
-catalog's integers are re-derived from their listed prime factors, so
-typographical damage in the printed form is detected instead of
-propagated; every recomputed cell is reported as matching or not.
+catalog's integers are rebuilt from their listed prime factors, each of
+which is proven prime (a composite "factor" with the right product is an
+error), so typographical damage in the printed form is detected instead
+of propagated; every recomputed cell is reported as matching or not.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .bound import bound_curve
 from .census import census_brute_force, census_exact
-from .factoring import factorize
+from .factoring import Factorization
 from .korselt import is_carmichael
 
 FERMAT_TABLE_N = 21
@@ -83,11 +84,12 @@ def reproduce_fermat_table() -> dict:
 
 def reproduce_witness_catalog() -> dict:
     """Rebuild each catalog entry from its factors and re-derive the
-    percentage; flags rows whose printed integer is damaged."""
+    percentage; flags rows whose printed integer is damaged.  A listed
+    factor that is not prime raises DomainError."""
     rows = []
     for row in HIGH_WITNESS_CATALOG:
         n = math.prod(row.factors)
-        fac = factorize(n)
+        fac = Factorization(n, tuple((p, 1) for p in row.factors))
         cert = is_carmichael(n, fac)
         census = census_exact(n, fac)
         computed_percent = round(float(census.proportion_witnesses * 100), 2)
@@ -120,7 +122,7 @@ def reproduce_proportion_examples() -> dict:
     published 4-decimal values; disagreements carry a note."""
     rows = []
     for n, published in PROPORTION_EXAMPLES:
-        census = census_exact(n, factorize(n))
+        census = census_brute_force(n)
         proportion = census.proportion_witnesses
         decimal = f"{float(proportion):.4f}"
         match = decimal == published
@@ -137,11 +139,13 @@ def reproduce_proportion_examples() -> dict:
     return {"rows": rows, "all_match": all(r["match"] for r in rows)}
 
 
-def bound_curve_series(n: int = 1729, lo: float = 1.0, hi: float = 20.0,
-                       points: int = 96) -> list[dict]:
-    """Sampled (a, value) pairs of the bound curve, as a plain data series."""
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    step = (hi - lo) / (points - 1)
-    return [{"a": lo + step * i, "value": float(bound_curve(lo + step * i, n))}
-            for i in range(points)]
+_SERIES_LO, _SERIES_HI, _SERIES_POINTS = 1.0, 20.0, 96
+
+
+def bound_curve_series(n: int = 1729) -> list[dict]:
+    """Sampled (a, value) pairs of the bound curve on [1, 20], 96 points,
+    as a plain data series."""
+    step = (_SERIES_HI - _SERIES_LO) / (_SERIES_POINTS - 1)
+    return [{"a": _SERIES_LO + step * i,
+             "value": float(bound_curve(_SERIES_LO + step * i, n))}
+            for i in range(_SERIES_POINTS)]

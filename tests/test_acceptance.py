@@ -148,9 +148,9 @@ def test_criterion_06_chernick_family():
                   f"all certified Carmichael, {elapsed:.1f}s")
 
 
-def test_criterion_07_bound_soundness_sweep():
+def test_criterion_07_bound_soundness_sweep(carmichaels_to_1e8):
     start = time.perf_counter()
-    carmichaels = enumerate_carmichael(100_000_000)
+    carmichaels = carmichaels_to_1e8
     half = Fraction(1, 2)
     width_limit = mpf("1e-9") * (1 + mpf("1e-12"))
     guaranteed = 0

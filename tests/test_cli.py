@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 
 import jsonschema
@@ -7,6 +9,7 @@ import pytest
 import carmlab.cli
 from carmlab.bench import composite_for_bits
 from carmlab.cli import _MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int, main
+from carmlab.reproduce import HIGH_WITNESS_CATALOG
 from carmlab.schemas import SCHEMAS
 
 
@@ -262,6 +265,15 @@ class TestReproduceCommand:
         assert lines[0] == "a,computed,published,match,witness"
         assert len(lines) == 21
 
+    def test_table_2_csv_parses_to_the_header_width(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--table", "2", "--csv")
+        assert code == EXIT_OK
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert len(header) == 8 and len(rows) == 16
+        assert all(len(row) == len(header) for row in rows)
+        printed = [row[header.index("printed_n")] for row in rows]
+        assert printed == [entry.printed_n for entry in HIGH_WITNESS_CATALOG]
+
     def test_table_2_json(self, capsys):
         payload = run_json(capsys, "reproduce", "--table", "2", "--json")
         assert payload["all_match"] is True
@@ -293,6 +305,12 @@ class TestReproduceCommand:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 11  # t + 1 bins
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 50
+
+    @pytest.mark.parametrize("figure", ["1", "2"])
+    def test_figure_n_zero_is_a_domain_error(self, capsys, figure):
+        code, out, err = run(capsys, "reproduce", "--figure", figure, "--n", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert "got 0" in err
 
     def test_json_output_embeds_manifest(self, capsys, tmp_path):
         target = tmp_path / "table1.json"

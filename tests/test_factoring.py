@@ -66,7 +66,7 @@ class TestFactorize:
         p = 2305843009213693951          # 2^61 - 1
         q = 4611686018427387847          # prime near 2^62
         n = 3 * p * q
-        tiny = FactorBudget(trial_limit=5000, rho_restarts=1, rho_max_steps=8)
+        tiny = FactorBudget(rho_restarts=1, rho_max_steps=8)
         with pytest.raises(FactorizationError) as info:
             factorize(n, tiny)
         assert info.value.partial == ((3, 1),)

@@ -161,10 +161,15 @@ class TestEnumerate:
             enumerate_carmichael_range(lo, hi)
         assert time.perf_counter() - start < 1
 
-    def test_pinch_counts_to_1e8(self):
-        listing = enumerate_carmichael(10**8)
-        counts = {limit: bisect.bisect_right(listing, limit) for limit in PINCH_COUNTS}
+    def test_pinch_counts_to_1e8(self, carmichaels_to_1e8):
+        counts = {limit: bisect.bisect_right(carmichaels_to_1e8, limit)
+                  for limit in PINCH_COUNTS}
         assert counts == PINCH_COUNTS
+
+    @pytest.mark.slow
+    def test_pinch_count_to_1e9(self):
+        # about 20 s with two workers on a 2-CPU machine; run with `pytest -m slow`
+        assert len(enumerate_carmichael(10**9, cap=10**9, jobs=2)) == 646
 
 
 def reference_scan_block(lo, hi, primes):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from carmlab.reproduce import (FERMAT_TABLE_RESIDUES, HIGH_WITNESS_CATALOG,
+from carmlab import reproduce
+from carmlab.errors import DomainError
+from carmlab.reproduce import (FERMAT_TABLE_RESIDUES, HIGH_WITNESS_CATALOG, CatalogRow,
                                bound_curve_series, reproduce_fermat_table,
                                reproduce_proportion_examples,
                                reproduce_witness_catalog)
@@ -45,6 +47,15 @@ class TestWitnessCatalog:
         assert not flagged[0]["grouping_ok"]
         assert flagged[0]["digits_match"]  # digits were right, grouping was not
 
+    def test_composite_listed_factor_is_rejected(self, monkeypatch):
+        first = HIGH_WITNESS_CATALOG[0]
+        assert first.factors[:2] == (3, 5)
+        damaged = CatalogRow(first.percent, first.printed_n, (15, *first.factors[2:]))
+        monkeypatch.setattr(reproduce, "HIGH_WITNESS_CATALOG",
+                            (damaged, *HIGH_WITNESS_CATALOG[1:]))
+        with pytest.raises(DomainError, match="factor 15 is not prime"):
+            reproduce_witness_catalog()
+
     def test_row_values_recomputed_from_factors(self):
         by_percent = {row.percent: row for row in HIGH_WITNESS_CATALOG}
         assert by_percent["52.70"].factors == (3, 5, 17, 23, 83, 353, 10979)
@@ -79,13 +90,13 @@ class TestBoundCurveSeries:
         assert series[0]["value"] == 1.0
 
     def test_strictly_decreasing_with_one_sign_change(self):
-        series = bound_curve_series(n=1729, lo=1.0, hi=20.0, points=96)
+        series = bound_curve_series(n=1729)
         values = [point["value"] for point in series]
         assert all(a > b for a, b in zip(values, values[1:]))
         changes = sum(1 for a, b in zip(values, values[1:]) if a > 0 >= b)
         assert changes == 1
 
     def test_point_count_and_validation(self):
-        assert len(bound_curve_series(points=10)) == 10
-        with pytest.raises(ValueError):
-            bound_curve_series(points=1)
+        series = bound_curve_series()
+        assert len(series) == 96
+        assert series[-1]["a"] == 20.0
