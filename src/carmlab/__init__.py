@@ -2,8 +2,8 @@
 
 Exact Fermat-witness censuses, Korselt certification and enumeration, a
 two-step-Newton lower bound on the smallest prime factor, a seeded Monte
-Carlo detector separating Carmichael numbers from other composites (with
-a prime-splitting variant), and the analytic accuracy model behind it.
+Carlo detector labelling any n >= 2 as prime, Carmichael or other
+composite, and the analytic accuracy model behind it.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ from .bound import (BoundEvaluation, BoundVerdict, bound_closed_form, bound_curv
 from .census import (CensusMethod, WitnessCensus, WitnessKind, census_brute_force,
                      census_exact, classify_witness)
 from .detector import (Basis, DetectorConfig, Label, Verdict, default_sample_size,
-                       derive_seed, detect_carmichael_composite,
                        detect_carmichael_general)
 from .errors import CapExceededError, DomainError, FactorizationError
 from .factoring import (DETERMINISTIC_WITNESS_BOUND, FactorBudget, Factorization,

@@ -25,15 +25,12 @@ from mpmath import mp, mpf
 
 from .census import census_exact
 from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .factoring import Factorization
 
 _DPS = 50
 _EXACT_TAIL_MAX_T = 10_000
-
-
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+HISTOGRAM_DRAW_CAP = 10**7  # t * trials; the reproduced figure uses 4 * 10^5
 
 
 def _to_mpf(value) -> mpf:
@@ -55,7 +52,7 @@ def normal_cdf(z) -> mpf:
 def z_score(threshold, t: int) -> mpf:
     """Standardized distance of the threshold from the worst-case mean 1/2:
     (threshold - 1/2) / sqrt((1/t) * (1/2) * (1/2))."""
-    thr = DetectorConfig(t_override=t, threshold=_as_fraction(threshold)).threshold
+    thr = DetectorConfig(t_override=t, threshold=threshold).threshold
     with mp.workdps(_DPS):
         return (_to_mpf(thr) - mpf(1) / 2) / mp.sqrt(mpf(1) / (4 * t))
 
@@ -121,9 +118,9 @@ class AccuracyReport:
 
 def _posterior_report(model: str, t: int, threshold, bit_length: int,
                       fraction_A, fraction_B) -> AccuracyReport:
-    thr = DetectorConfig(t_override=t, threshold=_as_fraction(threshold)).threshold
-    fa = Fraction(1, 2) if fraction_A is None else _as_fraction(fraction_A)
-    fb = Fraction(1, 2) if fraction_B is None else _as_fraction(fraction_B)
+    thr = DetectorConfig(t_override=t, threshold=threshold).threshold
+    fa = Fraction(1, 2) if fraction_A is None else Fraction(fraction_A)
+    fb = Fraction(1, 2) if fraction_B is None else Fraction(fraction_B)
     if not (0 <= fa <= 1 and 0 <= fb <= 1):
         raise DomainError("fraction_A and fraction_B must lie in [0, 1]")
     if fa + fb > 1:
@@ -163,8 +160,9 @@ def posterior_composite_given(t: int, threshold=DEFAULT_THRESHOLD,
 def posterior_general(t: int, threshold=DEFAULT_THRESHOLD,
                       bit_length: int = 1024,
                       fraction_A=None, fraction_B=None) -> AccuracyReport:
-    """Posterior for the prime-splitting variant: the hypothesis is
-    "Carmichael or prime", so its prior is the sum of both densities."""
+    """Posterior when the input may be prime as well as composite: the
+    hypothesis is "Carmichael or prime", so its prior is the sum of both
+    densities."""
     return _posterior_report("general", t, threshold, bit_length,
                              fraction_A, fraction_B)
 
@@ -206,13 +204,17 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     Each trial is one call of the detector's sampler, all on a single
     random.Random(seed) stream; t defaults to the detector's floor((ln n)^2).
     When a factorization of n is supplied, the histogram carries the exact
-    census mean and the model standard deviation for comparison.
+    census mean and the model standard deviation for comparison. More than
+    HISTOGRAM_DRAW_CAP draws in all raise CapExceededError.
     """
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     t = DetectorConfig(t_override=t).sample_size(n)
+    if t * trials > HISTOGRAM_DRAW_CAP:
+        raise CapExceededError(f"t * trials = {t * trials} draws exceeds the cap of "
+                               f"{HISTOGRAM_DRAW_CAP}")
     rng = random.Random(seed)
     counts = [0] * (t + 1)
     for _ in range(trials):
@@ -243,10 +245,10 @@ def binomial_tail_exact(threshold, t: int, witness_fraction) -> Fraction:
     """
     if not 1 <= t <= _EXACT_TAIL_MAX_T:
         raise DomainError(f"exact tail supports 1 <= t <= {_EXACT_TAIL_MAX_T}, got {t}")
-    w = _as_fraction(witness_fraction)
+    w = Fraction(witness_fraction)
     if not 0 <= w <= 1:
         raise DomainError(f"witness_fraction must lie in [0, 1], got {witness_fraction}")
-    thr = DetectorConfig(threshold=_as_fraction(threshold)).threshold
+    thr = DetectorConfig(threshold=threshold).threshold
     top = math.ceil(thr * t) - 1  # largest k with k/t < threshold
     num, den = w.numerator, w.denominator
     complement = den - num

@@ -1,12 +1,13 @@
 """Timing harness: per-call classification cost versus operand size.
 
-Each point times detect_carmichael_composite on a deterministic semiprime
-of the requested bit length with a fixed sample size t, then a least
-squares line through (ln bits, ln seconds) estimates the growth exponent
-of the per-call cost in log n.  The asymptotic claim under test is that
-one call costs O(t * (log n)^3); with t held fixed the fitted exponent
-should stay at or below SLOPE_LIMIT.  Absolute times are machine-dependent
-and deliberately not asserted anywhere.
+Each point times detect_carmichael_general (its primality test, then t
+draws) on a deterministic semiprime of the requested bit length with a
+fixed sample size t, then a least squares line through (ln bits,
+ln seconds) estimates the growth exponent of the per-call cost in log n.
+The asymptotic claim under test is that one call costs O(t * (log n)^3);
+with t held fixed the fitted exponent should stay at or below
+SLOPE_LIMIT.  Absolute times are machine-dependent and deliberately not
+asserted anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .detector import DetectorConfig, detect_carmichael_composite
+from .detector import DetectorConfig, detect_carmichael_general
 from .errors import DomainError
 from .factoring import is_prime
 
@@ -71,16 +72,16 @@ def composite_for_bits(bits: int, seed: int = 0) -> int:
 
 
 def _seconds_per_call(n: int, cfg: DetectorConfig, repeats: int) -> tuple[float, int]:
-    detect_carmichael_composite(n, cfg)  # warm-up
+    detect_carmichael_general(n, cfg)  # warm-up
     start = time.perf_counter()
-    detect_carmichael_composite(n, cfg)
+    detect_carmichael_general(n, cfg)
     single = max(time.perf_counter() - start, 1e-9)
     calls = max(1, int(_MIN_SAMPLE_SECONDS / single))
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(calls):
-            detect_carmichael_composite(n, cfg)
+            detect_carmichael_general(n, cfg)
         best = min(best, (time.perf_counter() - start) / calls)
     return best, calls
 

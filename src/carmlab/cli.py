@@ -29,8 +29,7 @@ from .accuracy import (empirical_proportion_distribution, posterior_composite_gi
 from .bench import DEFAULT_BIT_LENGTHS, run_benchmark
 from .bound import classify_by_bound, prime_factor_bound
 from .census import census_brute_force, census_exact
-from .detector import (DEFAULT_THRESHOLD, DetectorConfig, detect_carmichael_composite,
-                       detect_carmichael_general)
+from .detector import DEFAULT_THRESHOLD, DetectorConfig, detect_carmichael_general
 from .errors import CapExceededError, DomainError, FactorizationError
 from .factoring import factorize
 from .korselt import enumerate_carmichael, is_carmichael
@@ -163,9 +162,7 @@ def _census_text(census) -> str:
 def cmd_classify(args: argparse.Namespace) -> Report:
     cfg = DetectorConfig(t_override=args.t, threshold=args.threshold,
                          rng_seed=args.seed)
-    detect = (detect_carmichael_composite if args.assume_composite
-              else detect_carmichael_general)
-    return Report(detect(args.n, cfg).to_json_dict())
+    return Report(detect_carmichael_general(args.n, cfg).to_json_dict())
 
 
 # -------------------------------------------------------------- enumerate
@@ -317,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_parse_int, default=None,
                    help="sample size override (default floor((ln n)^2))")
     p.add_argument("--threshold", type=_parse_fraction, default=DEFAULT_THRESHOLD)
-    p.add_argument("--assume-composite", action="store_true",
-                   help="skip the primality split; caller asserts n is composite")
     p.add_argument("--output")
     p.set_defaults(handler=cmd_classify)
 
@@ -342,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample size (default floor((ln 2^bits)^2))")
     p.add_argument("--threshold", type=_parse_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--general", action="store_true",
-                   help="model the prime-splitting variant instead")
+                   help="model an input that may be prime (default: a composite input)")
     p.add_argument("--fraction-a", type=_parse_fraction, default=None,
                    help="assumed non-witness fraction |A|/n (default worst case 1/2)")
     p.add_argument("--fraction-b", type=_parse_fraction, default=None,

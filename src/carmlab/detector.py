@@ -1,11 +1,17 @@
 """Seeded Monte Carlo classification.
 
-detect_carmichael_composite assumes its input is composite and separates
-Carmichael numbers from other composites: draw t bases with replacement
-from {1, ..., n-1}, mark the Fermat witnesses, and either the marked
-proportion stays under the threshold (Carmichael) or the marked bases are
-scanned for one coprime to n (a non-trivial witness proves "other
-composite"; none found means Carmichael).
+detect_carmichael_general classifies any n >= 2 as Prime, Carmichael or
+OtherComposite. It runs the primality test first. A prime is labelled
+Prime at once: every base is a Fermat liar for a prime, so its t draws
+would find 0 witnesses, and the verdict reports t and 0 witnesses without
+making them. Above DETERMINISTIC_WITNESS_BOUND that test is probabilistic,
+and such a Prime verdict carries basis ProbablePrime and probabilistic=True.
+
+A composite n is told apart from Carmichael numbers by sampling: draw t
+bases with replacement from {1, ..., n-1}, mark the Fermat witnesses, and
+either the marked proportion stays under the threshold (Carmichael) or the
+marked bases are scanned for one coprime to n (a non-trivial witness
+proves "other composite"; none found means Carmichael).
 
 The draws are tested so that they can prove n Carmichael on the way,
 without changing which bases are witnesses: with n - 1 = 2^s * d, each
@@ -13,18 +19,12 @@ a^(n-1) is a^d squared s times, and gcds with a witness or with the liar
 chain's values minus one split n. Once its factors are proven primes and
 pass Korselt's criterion, a base is a Fermat witness exactly when
 gcd(a, n) > 1, so each remaining draw costs a gcd, not a powmod.
-
-detect_carmichael_general accepts any n >= 2 and runs the primality test
-first. A composite goes on to the composite detector. A prime is labelled
-Prime at once: every base is a Fermat liar for a prime, so its t draws
-would find 0 witnesses, and the verdict reports t and 0 witnesses without
-making them. Above DETERMINISTIC_WITNESS_BOUND that test is probabilistic,
-and such a Prime verdict carries basis ProbablePrime and probabilistic=True.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from collections.abc import Iterator
@@ -38,7 +38,6 @@ from .factoring import Factorization, PrimalityCheck, prime_check
 from .korselt import is_carmichael
 from .randutil import uniform_below
 
-SEED_MASK = (1 << 64) - 1
 DEFAULT_THRESHOLD = Fraction(45, 100)
 
 
@@ -63,22 +62,31 @@ def default_sample_size(n: int) -> int:
     return max(1, natural_log_squared_floor(n))
 
 
-def derive_seed(seed: int, n: int) -> int:
-    """Independent per-n seed for batch campaigns over ranges."""
-    return (seed ^ n) & SEED_MASK
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
+    """The detector's inputs, stored as an int t and an exact Fraction
+    threshold whatever numeric types they were given as."""
+
     t_override: int | None = None          # default: floor((ln n)^2)
     threshold: Fraction = DEFAULT_THRESHOLD
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.t_override is not None and self.t_override < 1:
-            raise DomainError(f"t must be >= 1, got {self.t_override}")
-        if not 0 < self.threshold < 1:
-            raise DomainError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if self.t_override is not None:
+            try:
+                t = operator.index(self.t_override)
+            except TypeError:
+                raise DomainError(f"t must be an integer, got {self.t_override!r}") from None
+            if t < 1:
+                raise DomainError(f"t must be >= 1, got {t}")
+            object.__setattr__(self, "t_override", t)
+        try:
+            threshold = Fraction(self.threshold)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"threshold must be a rational, got {self.threshold!r}") from None
+        if not 0 < threshold < 1:
+            raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
+        object.__setattr__(self, "threshold", threshold)
 
     def sample_size(self, n: int) -> int:
         return self.t_override if self.t_override is not None else default_sample_size(n)
@@ -185,50 +193,34 @@ def _split(m: int, splitters: list[int]) -> list[int]:
     return parts
 
 
-def detect_carmichael_composite(n: int, cfg: DetectorConfig | None = None) -> Verdict:
-    """Classify a composite n as Carmichael or OtherComposite.
-
-    The caller is responsible for compositeness: a prime input cannot be
-    flagged here (primes have no witnesses at all) and will come back
-    labeled Carmichael.
-    """
-    if n < 4:
-        raise DomainError(f"composite classification needs n >= 4, got {n}")
-    cfg = cfg or DetectorConfig()
-    t = cfg.sample_size(n)
-    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed))
-    common = dict(n=n, sample_size=t, witnesses_found=len(witnesses),
-                  threshold=cfg.threshold, seed=cfg.rng_seed)
-    if Fraction(len(witnesses), t) < cfg.threshold:
-        return Verdict(label=Label.CARMICHAEL,
-                       basis=Basis.PROPORTION_BELOW_THRESHOLD,
-                       evidence=None, **common)
-    for a in witnesses:
-        g = math.gcd(a, n)
-        if g == 1:
-            return Verdict(label=Label.OTHER_COMPOSITE,
-                           basis=Basis.NON_TRIVIAL_WITNESS_FOUND,
-                           evidence=(a, g), **common)
-    return Verdict(label=Label.CARMICHAEL,
-                   basis=Basis.NO_NON_TRIVIAL_WITNESS_FOUND,
-                   evidence=None, **common)
-
-
 def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verdict:
     """Classify any n >= 2 as Prime, Carmichael, or OtherComposite.
 
-    The primality test runs first. A composite n gets the composite
-    detector's verdict; a prime gets a Prime verdict with t draws and 0
-    witnesses reported, without drawing, since a prime has no Fermat witness.
+    The primality test runs first. A prime gets a Prime verdict with t
+    draws and 0 witnesses reported, without drawing, since a prime has no
+    Fermat witness. A composite is Carmichael when its sampled witness
+    share is under the threshold, else OtherComposite if a sampled witness
+    is coprime to n, else Carmichael.
     """
     if n < 2:
         raise DomainError(f"classification needs n >= 2, got {n}")
     cfg = cfg or DetectorConfig()
     check = prime_check(n)
-    if not check.is_prime:
-        return detect_carmichael_composite(n, cfg)
-    basis = Basis.PROBABLE_PRIME if check.probabilistic else Basis.DETERMINISTIC_PRIMALITY
-    return Verdict(n=n, label=Label.PRIME, basis=basis,
-                   sample_size=cfg.sample_size(n), witnesses_found=0, evidence=None,
-                   threshold=cfg.threshold, seed=cfg.rng_seed,
-                   probabilistic=check.probabilistic)
+    t = cfg.sample_size(n)
+    common = dict(n=n, sample_size=t, threshold=cfg.threshold, seed=cfg.rng_seed)
+    if check.is_prime:
+        basis = Basis.PROBABLE_PRIME if check.probabilistic else Basis.DETERMINISTIC_PRIMALITY
+        return Verdict(label=Label.PRIME, basis=basis, witnesses_found=0, evidence=None,
+                       probabilistic=check.probabilistic, **common)
+    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed))
+    common["witnesses_found"] = len(witnesses)
+    if Fraction(len(witnesses), t) < cfg.threshold:
+        return Verdict(label=Label.CARMICHAEL, basis=Basis.PROPORTION_BELOW_THRESHOLD,
+                       evidence=None, **common)
+    for a in witnesses:
+        if math.gcd(a, n) == 1:
+            return Verdict(label=Label.OTHER_COMPOSITE,
+                           basis=Basis.NON_TRIVIAL_WITNESS_FOUND,
+                           evidence=(a, 1), **common)
+    return Verdict(label=Label.CARMICHAEL, basis=Basis.NO_NON_TRIVIAL_WITNESS_FOUND,
+                   evidence=None, **common)

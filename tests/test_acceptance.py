@@ -18,7 +18,7 @@ from carmlab.arith import natural_log_squared_floor
 from carmlab.bench import run_benchmark
 from carmlab.bound import bound_closed_form, prime_factor_bound
 from carmlab.census import census_brute_force, census_exact
-from carmlab.detector import DetectorConfig, derive_seed, detect_carmichael_composite
+from carmlab.detector import DetectorConfig, detect_carmichael_general
 from carmlab.factoring import euler_phi, factorize, primes_up_to
 from carmlab.korselt import chernick, enumerate_carmichael, is_carmichael
 from carmlab.reproduce import (FERMAT_TABLE_RESIDUES, reproduce_proportion_examples,
@@ -192,7 +192,7 @@ def test_criterion_09_detector_completeness():
     false_negatives = 0
     for n in carmichaels:
         for seed in range(100):
-            verdict = detect_carmichael_composite(n, DetectorConfig(rng_seed=seed))
+            verdict = detect_carmichael_general(n, DetectorConfig(rng_seed=seed))
             if verdict.label.value != "Carmichael":
                 false_negatives += 1
     elapsed = time.perf_counter() - start
@@ -211,8 +211,8 @@ def test_criterion_10_detector_error_rate():
         if n in primes or n in carmichaels:
             continue
         total += 1
-        cfg = DetectorConfig(rng_seed=derive_seed(0, n))
-        if detect_carmichael_composite(n, cfg).label.value == "Carmichael":
+        cfg = DetectorConfig(rng_seed=n)
+        if detect_carmichael_general(n, cfg).label.value == "Carmichael":
             misclassified += 1
     rate = misclassified / total
     elapsed = time.perf_counter() - start

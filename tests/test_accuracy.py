@@ -10,8 +10,8 @@ from carmlab.accuracy import (binomial_tail_exact, carmichael_prior,
                               posterior_composite_given, posterior_general,
                               prime_prior, z_score)
 from carmlab.census import census_brute_force
-from carmlab.detector import DetectorConfig, detect_carmichael_composite
-from carmlab.errors import DomainError
+from carmlab.detector import DetectorConfig, detect_carmichael_general
+from carmlab.errors import CapExceededError, DomainError
 from carmlab.factoring import factorize
 
 
@@ -240,6 +240,13 @@ class TestEmpiricalDistribution:
         with pytest.raises(DomainError, match="t must be >= 1, got 0"):
             empirical_proportion_distribution(561, t=0, trials=10)
 
+    def test_draw_cap_is_checked_before_allocating(self):
+        # t + 1 bins at t = 10^9 would be 8 GB of list
+        with pytest.raises(CapExceededError):
+            empirical_proportion_distribution(561, t=10**9, trials=1)
+        with pytest.raises(CapExceededError):
+            empirical_proportion_distribution(561, t=10**4, trials=10**3 + 1)
+
     def test_default_t_is_the_detectors(self):
         for n in (21, 561, 10**6 + 3):
             hist = empirical_proportion_distribution(n, trials=2)
@@ -250,7 +257,7 @@ class TestEmpiricalDistribution:
         for t in (1, 7, 40):
             for seed in range(4):
                 hist = empirical_proportion_distribution(n, t=t, trials=1, seed=seed)
-                verdict = detect_carmichael_composite(
+                verdict = detect_carmichael_general(
                     n, DetectorConfig(t_override=t, rng_seed=seed))
                 assert hist.counts[verdict.witnesses_found] == 1, (n, t, seed)
 

@@ -118,8 +118,7 @@ class TestClassifyCommand:
                                         else "DeterministicPrimality")
 
     def test_assume_composite(self, capsys):
-        payload = run_json(capsys, "classify", "21", "--seed", "7",
-                           "--assume-composite")
+        payload = run_json(capsys, "classify", "21", "--seed", "7")
         assert payload["label"] == "OtherComposite"
         assert payload["evidence_a"] is not None
 
@@ -137,7 +136,7 @@ class TestClassifyCommand:
         assert first == second
 
     def test_precondition_error(self, capsys):
-        code, _, err = run(capsys, "classify", "3", "--assume-composite")
+        code, _, err = run(capsys, "classify", "1")
         assert code == EXIT_USAGE and "error" in err
 
 
@@ -305,6 +304,11 @@ class TestReproduceCommand:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 11  # t + 1 bins
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 50
+
+    def test_figure_2_draw_cap_is_a_budget_error(self, capsys):
+        code, out, err = run(capsys, "reproduce", "--figure", "2", "--n", "561",
+                             "--t", "10**9", "--trials", "1")
+        assert code == EXIT_BUDGET and out == "" and "exceeds the cap" in err
 
     @pytest.mark.parametrize("figure", ["1", "2"])
     def test_figure_n_zero_is_a_domain_error(self, capsys, figure):

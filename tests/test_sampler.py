@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from carmlab import accuracy, detector
 from carmlab.accuracy import empirical_proportion_distribution
 from carmlab.detector import (DetectorConfig, Label, _sample_witnesses,
-                              detect_carmichael_composite, detect_carmichael_general)
+                              detect_carmichael_general)
 from carmlab.factoring import DETERMINISTIC_WITNESS_BOUND, factorize
 from carmlab.korselt import chernick, enumerate_carmichael
 from carmlab.randutil import uniform_below
@@ -59,7 +59,7 @@ def test_every_small_n():
 def test_every_carmichael_number_to_1e5():
     for n in enumerate_carmichael(10**5):
         for seed in range(5):
-            assert_same_verdict(detect_carmichael_composite, n, DetectorConfig(rng_seed=seed))
+            assert_same_verdict(detect_carmichael_general, n, DetectorConfig(rng_seed=seed))
 
 
 @pytest.mark.parametrize("m", CHERNICK_M)
@@ -73,16 +73,17 @@ def test_chernick_numbers(m):
 
 
 @pytest.mark.parametrize("n", [1009, 2**61 - 1, 2**127 - 1])
-def test_prime_handed_to_the_composite_detector(n):
+def test_prime_handed_to_the_sampler(n):
+    # the detector labels a prime without drawing, but a histogram of a
+    # prime draws: its first draw ends the proof attempt
     for seed in (0, 5):
-        assert_same_verdict(detect_carmichael_composite, n,
-                            DetectorConfig(t_override=40, rng_seed=seed))
+        assert_same_draws(n, 40, seed)
 
 
 @pytest.mark.parametrize("p", [3, 7, 1009, 7919, 2**31 - 1])
 def test_prime_squares(p):
     for seed in (0, 5):
-        assert_same_verdict(detect_carmichael_composite, p * p,
+        assert_same_verdict(detect_carmichael_general, p * p,
                             DetectorConfig(t_override=40, rng_seed=seed))
 
 

@@ -13,8 +13,7 @@ from collections import Counter
 import pytest
 
 from carmlab.accuracy import empirical_proportion_distribution
-from carmlab.detector import (DetectorConfig, Label, detect_carmichael_composite,
-                              detect_carmichael_general)
+from carmlab.detector import DetectorConfig, Label, detect_carmichael_general
 from carmlab.korselt import chernick
 
 
@@ -42,7 +41,7 @@ COMPOSITE_POWMODS = {(91, 9, 0): 9, (561, 40, 3): 1, (1105, 5, 7): 2}
 
 @pytest.mark.parametrize("n, t, seed", COMPOSITE_POWMODS)
 def test_composite_verdict_powmods_come_from_the_detector(n, t, seed):
-    counts = pow_calls_by_module(detect_carmichael_composite, n,
+    counts = pow_calls_by_module(detect_carmichael_general, n,
                                  DetectorConfig(t_override=t, rng_seed=seed))
     assert counts == {"carmlab.detector": COMPOSITE_POWMODS[n, t, seed]}
 
