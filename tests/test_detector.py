@@ -167,6 +167,32 @@ class TestGeneralDetector:
         assert digest.hexdigest() == \
             "853f8676d642be41c67f11af0cd84686707e7afce29e3ed0239a8eb811445437"
 
+    def test_matches_composite_mode_on_witness_path(self):
+        # the composite-only detector's verdicts on these witness-path cases,
+        # recorded before it was folded into detect_carmichael_general
+        for n, seed, witnesses_found, evidence_a in (
+                (91, 3, 10, 31), (15, 0, 5, 7), (341, 1, 23, 69), (3317, 2, 65, 232)):
+            verdict = detect_carmichael_general(n, DetectorConfig(rng_seed=seed))
+            assert verdict.label is Label.OTHER_COMPOSITE, n
+            assert verdict.basis is Basis.NON_TRIVIAL_WITNESS_FOUND, n
+            assert verdict.witnesses_found == witnesses_found, n
+            assert verdict.to_json_dict()["evidence_a"] == evidence_a, n
+
+    def test_equals_composite_detector_on_every_composite(self):
+        # sha256 over the concatenated json.dumps(verdict.to_json_dict())
+        # strings of the composite-only detector on every composite below
+        # 2000 with seeds 0-2, recorded before it was folded into
+        # detect_carmichael_general
+        digest = hashlib.sha256()
+        for n in range(4, 2000):
+            if all(n % d for d in range(2, math.isqrt(n) + 1)):
+                continue
+            for seed in range(3):
+                verdict = detect_carmichael_general(n, DetectorConfig(rng_seed=seed))
+                digest.update(json.dumps(verdict.to_json_dict()).encode())
+        assert digest.hexdigest() == \
+            "360096ac7913bd7f245c5f515e2a9c1cc8c5aec5bdb275c9fa0e8716e20d1391"
+
     def test_prime_makes_no_draws(self, monkeypatch):
         def no_draws(n, t, rng):
             raise AssertionError(f"drew bases for the prime {n}")
