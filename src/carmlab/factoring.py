@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, FactorizationError
 from .randutil import uniform_below
 
@@ -24,16 +26,15 @@ _EXTRA_ROUNDS = 64  # error < 4**-64 past the deterministic bound
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a byte sieve."""
+    """All primes <= limit by a sieve over a numpy bool array."""
     if limit < 2:
         return []
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * len(range(start, limit + 1, p))
-    return [i for i, flag in enumerate(sieve) if flag]
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 _SMALL_PRIMES = tuple(primes_up_to(1000))

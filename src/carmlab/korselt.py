@@ -93,15 +93,19 @@ def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
     """All Carmichael numbers <= limit, in increasing order.
 
     Blocked sieve over the odd candidates: each prime below sqrt(limit)
-    keeps only its multiples that pass its Korselt check, so no candidate
-    is factored and only the survivors are divided (see _scan_block).  With
-    jobs > 1, contiguous spans run in up to min(jobs, cpu count) worker
-    processes and concatenate in order.
+    records itself on its Korselt residue class, and the primes small
+    enough to recur within a block also clear their other multiples, so no
+    candidate is factored and only candidates with a recorded prime are
+    divided (see _scan_block).  With jobs > 1, contiguous spans run in up
+    to min(jobs, cpu count) worker processes and concatenate in order;
+    limit above SIEVE_HI_CAP raises CapExceededError before any starts.
     """
     if limit < 0:
         raise DomainError(f"limit must be non-negative, got {limit}")
     if limit > cap:
         raise CapExceededError(f"limit {limit} exceeds the enumeration cap {cap}")
+    if limit > SIEVE_HI_CAP:
+        raise CapExceededError(f"limit {limit} exceeds the sieve cap {SIEVE_HI_CAP}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1)
@@ -126,7 +130,7 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
         return []
     if lo % 2 == 0:
         lo += 1
-    primes = [p for p in primes_up_to(math.isqrt(hi)) if p > 2]
+    primes = np.array(primes_up_to(math.isqrt(hi))[1:], dtype=np.int64)  # odd primes
     found: list[int] = []
     for block_lo in range(lo, hi + 1, 2 * _BLOCK_ODDS):
         block_hi = min(block_lo + 2 * (_BLOCK_ODDS - 1), hi)
@@ -142,26 +146,40 @@ def _progression(residue: int, modulus: int, lo: int, count: int) -> slice:
     return slice((residue - lo) % modulus // 2, count, modulus // 2)
 
 
-def _scan_block(lo: int, hi: int, primes: list[int]) -> list[int]:
-    """Korselt scan of the odd values in [lo, hi]; primes covers sqrt(hi).
+def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
+    """Korselt scan of the odd values in [lo, hi]; primes is an ascending
+    int64 array of the odd primes up to at least sqrt(hi).
 
     For a prime p dividing n, (p - 1) | (n - 1) holds exactly when
     n = p (mod p(p - 1)), the residue-class form of Korselt's criterion
     that Pinch's counts rest on (Pinch, "The Carmichael numbers up to
-    10^21", 2007). So each sieving prime clears every odd multiple of p
-    except those on that progression, which is p - 1 times sparser, and
-    records p there; then it clears the odd multiples of p^2. Only the
-    survivors are divided: what remains of n after its recorded primes is
-    1 or a single prime r above sqrt(hi), which must satisfy
-    (r - 1) | (n - 1).
+    10^21", 2007). Each sieving prime records itself on that progression,
+    whose slots lie p(p - 1)/2 apart: found holds the product of a slot's
+    recorded primes and distinct their number.
+
+    A small prime, whose progression can hold more than one slot of the
+    block, also clears every other odd multiple of p and every odd
+    multiple of p^2 with strided stores. A large prime touches at most one
+    slot, so all of them are recorded at once by one numpy expression and
+    clear nothing: the bucket idea of segmented sieves (T. Oliveira e
+    Silva) applied to Korselt's classes.
+
+    Only uncleared slots with a recorded prime are divided: a Carmichael
+    n has at least three prime factors, all below sqrt(n), so all of them
+    are recorded and n / found is 1. A slot is kept when its residual
+    r = n / found is 1 and it records two primes, or when r is a prime
+    with (r - 1) | (n - 1) that it does not record; either way n is
+    squarefree, composite and passes Korselt's check at every prime. The
+    last condition matters because large primes clear no squares, and
+    p^2 lies on p's progression.
     """
     count = (hi - lo) // 2 + 1
     ok = np.ones(count, dtype=bool)
     found = np.ones(count, dtype=np.int64)  # product of the recorded primes
     distinct = np.zeros(count, dtype=np.uint8)
-    for p in primes:
-        if p * p > hi:
-            break
+    primes = primes[:np.searchsorted(primes, math.isqrt(hi), side="right")]
+    small = np.searchsorted(primes * (primes - 1) // 2, count)
+    for p in primes[:small].tolist():
         multiples = _progression(p, 2 * p, lo, count)  # odd multiples of p
         if multiples.start >= count:
             continue
@@ -172,11 +190,18 @@ def _scan_block(lo: int, hi: int, primes: list[int]) -> list[int]:
         found[passing] *= p
         distinct[passing] += 1
         ok[_progression(p * p, 2 * p * p, lo, count)] = False  # squarefree
-    index = np.flatnonzero(ok)
+    large = primes[small:]
+    slot = (large - lo) % (large * (large - 1)) // 2
+    hit = slot < count
+    np.multiply.at(found, slot[hit], large[hit])  # .at: two primes can share a slot
+    np.add.at(distinct, slot[hit], 1)
+    index = np.flatnonzero(ok & (distinct > 0))
     n_vals = lo + 2 * index
-    residual = n_vals // found[index]
-    has_residual = residual > 1
-    keep = distinct[index] + has_residual >= 2  # composite: at least two distinct primes
-    pending = keep & has_residual
-    keep[pending] = (n_vals[pending] - 1) % (residual[pending] - 1) == 0
+    found = found[index]
+    residual = n_vals // found
+    keep = (residual == 1) & (distinct[index] >= 2)
+    pending = np.flatnonzero(residual > 1)
+    pending = pending[(n_vals[pending] - 1) % (residual[pending] - 1) == 0]
+    for i, r, f in zip(pending.tolist(), residual[pending].tolist(), found[pending].tolist()):
+        keep[i] = f % r != 0 and is_prime(r)
     return n_vals[keep].tolist()

@@ -168,8 +168,13 @@ class TestEnumerate:
 
     @pytest.mark.slow
     def test_pinch_count_to_1e9(self):
-        # about 20 s with two workers on a 2-CPU machine; run with `pytest -m slow`
+        # 3.3 to 3.7 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
         assert len(enumerate_carmichael(10**9, cap=10**9, jobs=2)) == 646
+
+    @pytest.mark.slow
+    def test_pinch_count_to_1e10(self):
+        # 28.7 to 32.6 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
+        assert len(enumerate_carmichael(10**10, cap=10**10, jobs=2)) == 1547
 
 
 def reference_scan_block(lo, hi, primes):
@@ -237,6 +242,26 @@ class TestSieveAgainstReference:
     def test_window_at_1e12(self):
         assert_sieves_agree(10**12, 10**12 + 10**6)
 
+    def test_window_below_1e10(self):
+        assert_sieves_agree(10**10 - 2 * 10**6, 10**10)
+
+    @pytest.mark.parametrize("p", [1031, 4099, 9973])
+    def test_windows_around_powers_of_a_large_prime(self, p):
+        # 1031 is the least prime whose progression n = p (mod p(p - 1))
+        # steps over more than a full block's 2^19 odd slots, so these primes
+        # record without clearing; p^2 and p^3 both lie on that progression
+        for n in (p**2, p**3):
+            assert n not in assert_sieves_agree(n - 2**20, n + 2**20)
+
+    def test_single_value_windows(self):
+        # a one-slot block makes every sieving prime large, so nothing is
+        # cleared and the residual alone decides: 45441 = 3^5 * 11 * 17 leaves
+        # 81 and 238855 = 5 * 23 * 31 * 67 leaves 155, composites r that pass
+        # (r - 1) | (n - 1) without dividing the recorded product
+        for center in (45441, 238855):
+            for n in range(center - 100, center + 101):
+                assert_sieves_agree(n, n)
+
     @given(st.integers(0, 10**7), st.integers(0, 300_000))
     @settings(max_examples=40)
     def test_random_window_property(self, lo, width):
@@ -289,6 +314,8 @@ class TestParallelEnumerate:
     def test_cap_checked_before_any_pool(self, fake_pool):
         with pytest.raises(CapExceededError):
             enumerate_carmichael(10**9, jobs=2)
+        with pytest.raises(CapExceededError):
+            enumerate_carmichael(10**15, cap=10**15, jobs=2)  # above SIEVE_HI_CAP
         assert fake_pool == []
 
     @pytest.mark.parametrize("jobs", [0, -1])
