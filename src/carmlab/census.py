@@ -2,10 +2,15 @@
 
 count_A counts bases with a^(n-1) == 1 (mod n), count_B the coprime
 ("non-trivial") witnesses, count_C the witnesses sharing a factor with n.
-Two methods give the same counts: brute force evaluates every base up to
-a fixed cap, and the exact census derives them from the factorization of
-any n >= 3 by Monier's formula.  Proportions are exact rationals with
-denominator n - 1; decimals appear only at display time.
+Two methods give the same counts, and neither uses the other, so each is
+an oracle for the other.  Brute force, up to a fixed cap, finds the
+residue a^(n-1) mod n and whether gcd(a, n) = 1 for every base without
+factoring n: the map a -> a^(n-1) mod n is completely multiplicative, so
+only prime bases pay a powmod and each composite base takes the product
+of two residues already found, and for odd n the pairing a <-> n - a
+halves the bases evaluated.  The exact census derives the counts from the
+factorization of any n >= 3 by Monier's formula.  Proportions are exact
+rationals with denominator n - 1; decimals appear only at display time.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import numpy as np
 from .errors import CapExceededError, DomainError
 from .factoring import Factorization, euler_phi
 
-# below 2^32, so the uint64 product of two residues mod n stays exact
+# below 2^32, so residues mod n fit uint32 and the uint64 product of two
+# stays exact; its square root is below 2^16, so the factor table fits uint16
 DEFAULT_BRUTE_FORCE_CAP = 10_000_000
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 class CensusMethod(Enum):
@@ -78,10 +84,17 @@ class WitnessCensus:
 
 
 def census_brute_force(n: int) -> WitnessCensus:
-    """Exact counts by evaluating every base from 1 to n-1.
+    """Exact counts from the residue a^(n-1) mod n of every base 1 <= a < n.
 
-    The range is processed in chunks (vectorized powmod per chunk) and the
-    chunk counts are summed, so memory stays flat up to the cap.
+    No factorization of n is used, so this census is an oracle apart from
+    census_exact and Monier's formula.  The map a -> a^(n-1) mod n is
+    completely multiplicative, so a composite base a = p * (a / p) gets its
+    residue as the product of two residues already known, and its unit
+    flag gcd(a, n) == 1 as the and of theirs; only a prime base p pays a
+    powmod, and it is a unit exactly when p does not divide n.  For odd n,
+    (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so the bases
+    up to (n - 1) / 2 are evaluated and their counts doubled; an even n
+    evaluates all of them.  The tables take 7 bytes per evaluated base.
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
@@ -89,32 +102,63 @@ def census_brute_force(n: int) -> WitnessCensus:
         raise CapExceededError(
             f"n = {n} exceeds the brute-force cap {DEFAULT_BRUTE_FORCE_CAP}; "
             f"census_exact counts any n from its factorization")
-    exponent = n - 1
-    count_a = 0
-    count_c = 0
-    for lo in range(1, n, _CHUNK):
-        part_a, part_c = _census_chunk(lo, min(lo + _CHUNK, n), n, exponent)
-        count_a += part_a
-        count_c += part_c
+    top = n - 1 if n % 2 == 0 else (n - 1) // 2
+    residue, unit = _fermat_residues(n, top)
+    count_a = int(np.count_nonzero(residue == 1))
+    count_c = top - int(np.count_nonzero(unit))  # unit[0] is False
+    if n % 2:
+        count_a, count_c = 2 * count_a, 2 * count_c
     return WitnessCensus(n, count_a, n - 1 - count_a - count_c, count_c,
                          CensusMethod.BRUTE_FORCE)
 
 
-def _census_chunk(lo: int, hi: int, n: int, exponent: int) -> tuple[int, int]:
-    bases = np.arange(lo, hi, dtype=np.uint64)
+def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^(n-1) mod n and gcd(a, n) == 1 for every base 0 <= a <= top < n.
+
+    factor[a] is a prime p <= sqrt(a) dividing a composite a, and 0 when a
+    is 0, 1 or prime.  The prime bases get their powmods first, _CHUNK at a
+    time; the composites then run in chunks [lo, min(2 lo, lo + _CHUNK)),
+    so every cofactor a / p <= a / 2 lies below lo and is already filled.
+    """
+    factor = np.zeros(top + 1, dtype=np.uint16)
+    for p in range(2, math.isqrt(top) + 1):
+        if factor[p] == 0:
+            factor[p * p::p] = p
+    residue = np.empty(top + 1, dtype=np.uint32)
+    unit = np.empty(top + 1, dtype=bool)
+    residue[:2] = 0, 1
+    unit[:2] = False, True
+    primes = np.flatnonzero(factor[2:] == 0) + 2
     modulus = np.uint64(n)
-    power = np.ones_like(bases)
-    square = bases.copy()
-    e = exponent
-    while e:
-        if e & 1:
-            power = power * square % modulus
-        e >>= 1
-        if e:
-            square = square * square % modulus
-    count_a = int((power == 1).sum())
-    count_c = int((np.gcd(bases.astype(np.int64), n) > 1).sum())
-    return count_a, count_c
+    for start in range(0, len(primes), _CHUNK):
+        batch = primes[start:start + _CHUNK]
+        bases = batch.astype(np.uint64)
+        power = np.ones_like(bases)
+        e = n - 1
+        while e:
+            if e & 1:
+                power = power * bases % modulus
+            e >>= 1
+            if e:
+                bases = bases * bases % modulus
+        residue[batch] = power
+        unit[batch] = n % batch != 0
+    lo = 4
+    while lo <= top:
+        hi = min(2 * lo, lo + _CHUNK, top + 1)
+        _census_chunk(lo, hi, factor, residue, unit, modulus)
+        lo = hi
+    return residue, unit
+
+
+def _census_chunk(lo: int, hi: int, factor: np.ndarray, residue: np.ndarray,
+                  unit: np.ndarray, modulus: np.uint64) -> None:
+    """Fill residue and unit for the composite bases lo <= a < hi <= 2 lo."""
+    composite = np.flatnonzero(factor[lo:hi]) + lo
+    p = factor[composite].astype(np.intp)
+    cofactor = composite // p
+    residue[composite] = residue[p].astype(np.uint64) * residue[cofactor] % modulus
+    unit[composite] = unit[p] & unit[cofactor]
 
 
 def census_exact(n: int, factorization: Factorization) -> WitnessCensus:

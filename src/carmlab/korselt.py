@@ -94,11 +94,12 @@ def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
 
     Blocked sieve over the odd candidates: each prime below sqrt(limit)
     records itself on its Korselt residue class, and the primes small
-    enough to recur within a block also clear their other multiples, so no
-    candidate is factored and only candidates with a recorded prime are
-    divided (see _scan_block).  With jobs > 1, contiguous spans run in up
-    to min(jobs, cpu count) worker processes and concatenate in order;
-    limit above SIEVE_HI_CAP raises CapExceededError before any starts.
+    enough to recur within a block also clear their other multiples; no
+    candidate is factored or divided, and one is kept when the product of
+    its recorded primes equals it (see _scan_block).  With jobs > 1,
+    contiguous spans run in up to min(jobs, cpu count) worker processes
+    and concatenate in order; limit above SIEVE_HI_CAP raises
+    CapExceededError before any starts.
     """
     if limit < 0:
         raise DomainError(f"limit must be non-negative, got {limit}")
@@ -164,14 +165,13 @@ def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     clear nothing: the bucket idea of segmented sieves (T. Oliveira e
     Silva) applied to Korselt's classes.
 
-    Only uncleared slots with a recorded prime are divided: a Carmichael
-    n has at least three prime factors, all below sqrt(n), so all of them
-    are recorded and n / found is 1. A slot is kept when its residual
-    r = n / found is 1 and it records two primes, or when r is a prime
-    with (r - 1) | (n - 1) that it does not record; either way n is
-    squarefree, composite and passes Korselt's check at every prime. The
-    last condition matters because large primes clear no squares, and
-    p^2 lies on p's progression.
+    An uncleared slot is kept when it records at least two primes and
+    found equals n. Then n is a product of distinct primes, each passing
+    Korselt's check, so it is squarefree, composite and Carmichael; the
+    product test is what rejects squares, since large primes clear none
+    and p^2 lies on p's progression. No Carmichael number is missed: it
+    has at least three prime factors, all below sqrt(n), so every one of
+    them is recorded and found is n.
     """
     count = (hi - lo) // 2 + 1
     ok = np.ones(count, dtype=bool)
@@ -195,13 +195,6 @@ def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     hit = slot < count
     np.multiply.at(found, slot[hit], large[hit])  # .at: two primes can share a slot
     np.add.at(distinct, slot[hit], 1)
-    index = np.flatnonzero(ok & (distinct > 0))
+    index = np.flatnonzero(ok & (distinct >= 2))
     n_vals = lo + 2 * index
-    found = found[index]
-    residual = n_vals // found
-    keep = (residual == 1) & (distinct[index] >= 2)
-    pending = np.flatnonzero(residual > 1)
-    pending = pending[(n_vals[pending] - 1) % (residual[pending] - 1) == 0]
-    for i, r, f in zip(pending.tolist(), residual[pending].tolist(), found[pending].tolist()):
-        keep[i] = f % r != 0 and is_prime(r)
-    return n_vals[keep].tolist()
+    return n_vals[found[index] == n_vals].tolist()

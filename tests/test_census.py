@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carmlab.census import (DEFAULT_BRUTE_FORCE_CAP, CensusMethod, WitnessCensus,
-                            WitnessKind, census_brute_force, census_exact,
-                            classify_witness)
+from carmlab import census as census_module
+from carmlab import factoring
+from carmlab.census import (_CHUNK, DEFAULT_BRUTE_FORCE_CAP, CensusMethod, WitnessCensus,
+                            WitnessKind, _fermat_residues, census_brute_force,
+                            census_exact, classify_witness)
 from carmlab.errors import CapExceededError, DomainError
 from carmlab.factoring import euler_phi, factorize, primes_up_to
 from carmlab.korselt import enumerate_carmichael
@@ -82,8 +84,26 @@ class TestCensusBruteForce:
             census_brute_force(DEFAULT_BRUTE_FORCE_CAP + 1)
 
     def test_cap_keeps_uint64_products_exact(self):
-        # the vectorized kernel multiplies two residues below n in uint64
+        # the kernel stores residues below n as uint32 and multiplies two
+        # of them in uint64
         assert DEFAULT_BRUTE_FORCE_CAP < 2**32
+
+    def test_cap_keeps_factor_table_in_uint16(self):
+        # the factor table holds a prime p <= sqrt(a) for each composite base a
+        assert math.isqrt(DEFAULT_BRUTE_FORCE_CAP) < 2**16
+
+    def test_kernel_residues_and_units_below_600(self):
+        for n in range(3, 600):
+            residue, unit = _fermat_residues(n, n - 1)
+            assert residue[1:].tolist() == [pow(a, n - 1, n) for a in range(1, n)], n
+            assert unit[1:].tolist() == [math.gcd(a, n) == 1 for a in range(1, n)], n
+
+    def test_factors_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the brute-force census must not factor n")
+        monkeypatch.setattr(factoring, "factorize", refuse)
+        monkeypatch.setattr(census_module, "census_exact", refuse)
+        assert census_brute_force(561).count_A == 320
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
@@ -157,6 +177,25 @@ class TestCensusExact:
         for n in range(3, 3000):
             assert self.counts(census_exact(n, factorize(n))) == \
                 self.counts(census_brute_force(n)), n
+
+    def test_matches_brute_force_around_chunk_edges(self):
+        # chunks of composite bases end at 8, 16, ..., _CHUNK and then every
+        # _CHUNK bases; an even n evaluates bases up to n - 1, an odd n up
+        # to (n - 1) / 2, so both parities cross each edge in one of the
+        # windows, and an even n near 3 * _CHUNK spans several full chunks
+        edges = [2**k for k in range(2, _CHUNK.bit_length())] + [2 * _CHUNK, 3 * _CHUNK]
+        for edge in edges:
+            for n in sorted({*range(edge - 40, edge + 41), *range(2 * edge - 40, 2 * edge + 41)}):
+                if n >= 3:
+                    assert self.counts(census_exact(n, factorize(n))) == \
+                        self.counts(census_brute_force(n)), n
+
+    # the four Carmichael numbers of the benchmark band, the largest odd n
+    # under the cap, and the largest Carmichael number below 10^7; each
+    # has more than _CHUNK prime bases, so its powmods run in several batches
+    @pytest.mark.parametrize("n", [2433601, 2455921, 2508013, 2531845, 10**7 - 1, 9890881])
+    def test_matches_brute_force_at_large_n(self, n):
+        assert self.counts(census_exact(n, factorize(n))) == self.counts(census_brute_force(n))
 
     def test_no_coprime_witness_for_primes_and_carmichaels(self):
         # every input the totient-only census accepted: count_A = phi(n)
