@@ -18,11 +18,14 @@ import time
 from dataclasses import dataclass
 
 from .detector import DetectorConfig, detect_carmichael_general
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .factoring import is_prime
 
 DEFAULT_BIT_LENGTHS = (64, 128, 256, 512, 1024)
 SLOPE_LIMIT = 3.5
+# the largest bit length timed: generating a 4096-bit semiprime already
+# takes seconds, and the prime search slows steeply with size
+MAX_BENCH_BITS = 4096
 _MIN_SAMPLE_SECONDS = 0.01
 
 
@@ -93,6 +96,9 @@ def run_benchmark(bit_lengths: tuple[int, ...] = DEFAULT_BIT_LENGTHS, t: int = 1
         raise DomainError("need at least two bit lengths to fit a slope")
     if t < 1 or repeats < 1:
         raise DomainError("t and repeats must be >= 1")
+    if max(bit_lengths) > MAX_BENCH_BITS:
+        raise CapExceededError(f"bit length {max(bit_lengths)} exceeds the bench cap "
+                               f"{MAX_BENCH_BITS}")
     points = []
     for bits in bit_lengths:
         n = composite_for_bits(bits, seed)

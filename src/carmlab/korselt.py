@@ -43,8 +43,7 @@ class CarmichaelCertificate:
 
     @property
     def is_carmichael(self) -> bool:
-        return (self.composite and self.squarefree
-                and len(self.factorization.factors) >= 2
+        return (self.squarefree and len(self.factorization.factors) >= 2
                 and all(ok for _, ok in self.divisibility_checks))
 
     def __bool__(self) -> bool:
@@ -92,11 +91,10 @@ def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
                          jobs: int = 1) -> list[int]:
     """All Carmichael numbers <= limit, in increasing order.
 
-    Blocked sieve over the odd candidates: each prime below sqrt(limit)
-    records itself on its Korselt residue class, and the primes small
-    enough to recur within a block also clear their other multiples; no
-    candidate is factored or divided, and one is kept when the product of
-    its recorded primes equals it (see _scan_block).  With jobs > 1,
+    Blocked sieve over the odd candidates: each prime p below sqrt(limit)
+    records itself on its Korselt residue class above p; no candidate is
+    factored or divided, and one is kept when the product of its recorded
+    primes equals it (see _scan_block).  With jobs > 1,
     contiguous spans run in up to min(jobs, cpu count) worker processes
     and concatenate in order; limit above SIEVE_HI_CAP raises
     CapExceededError before any starts.
@@ -141,12 +139,6 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
     return found
 
 
-def _progression(residue: int, modulus: int, lo: int, count: int) -> slice:
-    """Block indices of the n = residue (mod modulus) from odd lo, for an odd
-    residue and an even modulus; index i holds lo + 2i."""
-    return slice((residue - lo) % modulus // 2, count, modulus // 2)
-
-
 def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     """Korselt scan of the odd values in [lo, hi]; primes is an ascending
     int64 array of the odd primes up to at least sqrt(hi).
@@ -154,47 +146,33 @@ def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     For a prime p dividing n, (p - 1) | (n - 1) holds exactly when
     n = p (mod p(p - 1)), the residue-class form of Korselt's criterion
     that Pinch's counts rest on (Pinch, "The Carmichael numbers up to
-    10^21", 2007). Each sieving prime records itself on that progression,
-    whose slots lie p(p - 1)/2 apart: found holds the product of a slot's
-    recorded primes and distinct their number.
+    10^21", 2007). Each sieving prime multiplies itself into found on the
+    slots of that class, which lie p(p - 1)/2 apart from the slot of
+    (p - lo) mod p(p - 1); a prime p >= lo starts at p^2 instead, the next
+    member of its class, so that no p is recorded on n = p. Primes whose
+    class recurs within the block store with one strided multiply each; a
+    larger prime touches at most one slot, so all of them are recorded at
+    once by one numpy expression: the bucket idea of segmented sieves
+    (T. Oliveira e Silva) applied to Korselt's classes.
 
-    A small prime, whose progression can hold more than one slot of the
-    block, also clears every other odd multiple of p and every odd
-    multiple of p^2 with strided stores. A large prime touches at most one
-    slot, so all of them are recorded at once by one numpy expression and
-    clear nothing: the bucket idea of segmented sieves (T. Oliveira e
-    Silva) applied to Korselt's classes.
-
-    An uncleared slot is kept when it records at least two primes and
-    found equals n. Then n is a product of distinct primes, each passing
-    Korselt's check, so it is squarefree, composite and Carmichael; the
-    product test is what rejects squares, since large primes clear none
-    and p^2 lies on p's progression. No Carmichael number is missed: it
-    has at least three prime factors, all below sqrt(n), so every one of
-    them is recorded and found is n.
+    A value is kept exactly when found equals n. Every recorded p divides
+    n, passes (p - 1) | (n - 1) and is less than n, so found = n makes n a
+    product of at least two distinct primes, each passing Korselt's check:
+    squarefree, composite and Carmichael. No Carmichael number is missed:
+    all its prime factors lie below sqrt(n), so every one is recorded and
+    found is n.
     """
     count = (hi - lo) // 2 + 1
-    ok = np.ones(count, dtype=bool)
     found = np.ones(count, dtype=np.int64)  # product of the recorded primes
-    distinct = np.zeros(count, dtype=np.uint8)
     primes = primes[:np.searchsorted(primes, math.isqrt(hi), side="right")]
-    small = np.searchsorted(primes * (primes - 1) // 2, count)
-    for p in primes[:small].tolist():
-        multiples = _progression(p, 2 * p, lo, count)  # odd multiples of p
-        if multiples.start >= count:
-            continue
-        passing = _progression(p, p * (p - 1), lo, count)
-        kept = ok[passing].copy()
-        ok[multiples] = False
-        ok[passing] = kept
-        found[passing] *= p
-        distinct[passing] += 1
-        ok[_progression(p * p, 2 * p * p, lo, count)] = False  # squarefree
-    large = primes[small:]
-    slot = (large - lo) % (large * (large - 1)) // 2
-    hit = slot < count
-    np.multiply.at(found, slot[hit], large[hit])  # .at: two primes can share a slot
-    np.add.at(distinct, slot[hit], 1)
-    index = np.flatnonzero(ok & (distinct >= 2))
+    stride = primes * (primes - 1) // 2
+    start = np.where(primes < lo, (primes - lo) % (2 * stride), primes * primes - lo) // 2
+    small = np.searchsorted(stride, count)
+    for p, first, step in zip(primes[:small].tolist(), start[:small].tolist(),
+                              stride[:small].tolist()):
+        found[first::step] *= p
+    hit = start[small:] < count
+    np.multiply.at(found, start[small:][hit], primes[small:][hit])  # .at: slots can repeat
+    index = np.flatnonzero(found >= lo)  # found = n needs found >= lo
     n_vals = lo + 2 * index
     return n_vals[found[index] == n_vals].tolist()

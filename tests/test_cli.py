@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -338,6 +339,13 @@ class TestBenchCommand:
             main(["bench", "--bits", "64:abc"])
         assert exit_info.value.code == EXIT_USAGE
         assert "'abc' is not an integer" in capsys.readouterr().err
+
+    def test_bit_length_above_cap_is_a_budget_error(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "bench", "--bits", "64:10**6")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_BUDGET
+        assert "exceeds the bench cap" in err
 
 
 class TestSchemaCommand:

@@ -168,12 +168,12 @@ class TestEnumerate:
 
     @pytest.mark.slow
     def test_pinch_count_to_1e9(self):
-        # 3.3 to 3.7 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
+        # 0.8 to 1.3 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
         assert len(enumerate_carmichael(10**9, cap=10**9, jobs=2)) == 646
 
     @pytest.mark.slow
     def test_pinch_count_to_1e10(self):
-        # 28.7 to 32.6 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
+        # 8.5 to 8.8 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
         assert len(enumerate_carmichael(10**10, cap=10**10, jobs=2)) == 1547
 
 
@@ -249,15 +249,16 @@ class TestSieveAgainstReference:
     def test_windows_around_powers_of_a_large_prime(self, p):
         # 1031 is the least prime whose progression n = p (mod p(p - 1))
         # steps over more than a full block's 2^19 odd slots, so these primes
-        # record without clearing; p^2 and p^3 both lie on that progression
+        # are recorded by the one numpy scatter; p^2 and p^3 both lie on
+        # that progression, and only p is recorded on them
         for n in (p**2, p**3):
             assert n not in assert_sieves_agree(n - 2**20, n + 2**20)
 
     def test_single_value_windows(self):
-        # a one-slot block makes every sieving prime large, so nothing is
-        # cleared and the residual alone decides: 45441 = 3^5 * 11 * 17 leaves
-        # 81 and 238855 = 5 * 23 * 31 * 67 leaves 155, composites r that pass
-        # (r - 1) | (n - 1) without dividing the recorded product
+        # a one-slot block makes every sieving prime large, so the product
+        # test alone decides: 45441 = 3^5 * 11 * 17 records 3 * 11 * 17 and
+        # 238855 = 5 * 23 * 31 * 67 records 23 * 67, products short of n by
+        # the factors 81 and 155 that pass (r - 1) | (n - 1)
         for center in (45441, 238855):
             for n in range(center - 100, center + 101):
                 assert_sieves_agree(n, n)
