@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, DomainError
 from .factoring import Factorization, euler_phi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # below 2^32, so residues mod n fit uint32 and the uint64 product of two
 # stays exact; its square root is below 2^16, so the factor table fits uint16
@@ -102,6 +104,8 @@ def census_brute_force(n: int) -> WitnessCensus:
         raise CapExceededError(
             f"n = {n} exceeds the brute-force cap {DEFAULT_BRUTE_FORCE_CAP}; "
             f"census_exact counts any n from its factorization")
+    import numpy as np
+
     top = n - 1 if n % 2 == 0 else (n - 1) // 2
     residue, unit = _fermat_residues(n, top)
     count_a = int(np.count_nonzero(residue == 1))
@@ -120,6 +124,8 @@ def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     time; the composites then run in chunks [lo, min(2 lo, lo + _CHUNK)),
     so every cofactor a / p <= a / 2 lies below lo and is already filled.
     """
+    import numpy as np
+
     factor = np.zeros(top + 1, dtype=np.uint16)
     for p in range(2, math.isqrt(top) + 1):
         if factor[p] == 0:
@@ -154,6 +160,8 @@ def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
 def _census_chunk(lo: int, hi: int, factor: np.ndarray, residue: np.ndarray,
                   unit: np.ndarray, modulus: np.uint64) -> None:
     """Fill residue and unit for the composite bases lo <= a < hi <= 2 lo."""
+    import numpy as np
+
     composite = np.flatnonzero(factor[lo:hi]) + lo
     p = factor[composite].astype(np.intp)
     cofactor = composite // p

@@ -18,11 +18,21 @@ without changing which bases are witnesses: with n - 1 = 2^s * d, each
 a^(n-1) is a^d squared s times, and gcds with a witness or with the liar
 chain's values minus one split n. Once its factors are proven primes and
 pass Korselt's criterion, a base is a Fermat witness exactly when
-gcd(a, n) > 1, so each remaining draw costs a gcd, not a powmod.
+gcd(a, n) > 1, and the remaining draws cost one gcd per batch: that of n
+with their product mod n, which is 1 exactly when every draw is coprime.
+
+When the attempt gives up, the remaining draws share one modulus and one
+exponent, so a batch of at least _BATCH_MIN of them is tested at once by
+Montgomery multiplication (Montgomery 1985) over numpy limb columns, which
+makes a 128-bit verdict about four times faster than one pow per draw.
+Smaller batches, even n and n above _BATCH_MAX_BITS, where numpy's
+per-call cost or the limb products outweigh the lockstep, keep one pow
+per draw. numpy is imported by the batch test alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -31,6 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .arith import natural_log_squared_floor
 from .errors import DomainError
@@ -38,7 +49,20 @@ from .factoring import Factorization, PrimalityCheck, prime_check
 from .korselt import is_carmichael
 from .randutil import uniform_below
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_THRESHOLD = Fraction(45, 100)
+
+# The draws after the proof attempt are taken _BATCH at a time, which bounds
+# the memory of a batch test. Below _BATCH_MIN bases numpy's per-call cost
+# loses to one pow per base, and above _BATCH_MAX_BITS the batch test is no
+# faster than pow (both measured in BENCH_17.json).
+_BATCH = 8192
+_BATCH_MIN = 512
+_BATCH_MAX_BITS = 512
+_LIMB_BITS = 28
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class Label(Enum):
@@ -127,19 +151,104 @@ def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
     """The Fermat witnesses among t bases drawn from {1, ..., n-1} on rng;
     the detector and the accuracy histogram both sample through it.
 
-    The first draws go to _proves_carmichael. If they prove n Carmichael,
-    a base is a witness exactly when it shares a factor with n, so the
-    remaining draws need a gcd each; otherwise they are tested with
-    a^(n-1) mod n. Either way the witnesses are the same, in draw order.
+    The first draws go to _proves_carmichael. The remaining draws are then
+    taken _BATCH at a time. If n was proven Carmichael, a base is a
+    witness exactly when it shares a factor with n, and a batch needs one
+    gcd: gcd(prod a mod n, n) = 1 exactly when every a is coprime to n,
+    and only a batch failing that is rescanned one gcd per base.
+    Otherwise the batch is Fermat-tested, by _fermat_liars when it holds
+    at least _BATCH_MIN bases and n is odd with at most _BATCH_MAX_BITS
+    bits, and else by one pow per base. Either way the witnesses are the
+    same, in draw order.
     """
     draws = (1 + uniform_below(rng, n - 1) for _ in range(t))
     witnesses: list[int] = []
-    if _proves_carmichael(n, draws, witnesses):
-        witnesses += [a for a in draws if math.gcd(a, n) != 1]
-    else:
-        exponent = n - 1
-        witnesses += [a for a in draws if pow(a, exponent, n) != 1]
+    proven = _proves_carmichael(n, draws, witnesses)
+    while batch := list(itertools.islice(draws, _BATCH)):
+        if proven:
+            product = 1
+            for a in batch:
+                product = product * a % n
+            if math.gcd(product, n) != 1:
+                witnesses += [a for a in batch if math.gcd(a, n) != 1]
+        elif len(batch) >= _BATCH_MIN and n % 2 and n.bit_length() <= _BATCH_MAX_BITS:
+            liars = _fermat_liars(batch, n).tolist()
+            witnesses += [a for a, liar in zip(batch, liars) if not liar]
+        else:
+            exponent = n - 1
+            witnesses += [a for a in batch if pow(a, exponent, n) != 1]
     return witnesses
+
+
+def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
+    """The mask pow(a, n - 1, n) == 1 over bases, for an odd n >= 3 and
+    every 0 <= a < n, from one Montgomery ladder run over all bases at once.
+
+    A value is a column of k 28-bit limbs in a (k, len(bases)) uint64
+    array, with R = 2^(28k) > 4n. A Montgomery product (Montgomery 1985)
+    of x, y < 2n is a schoolbook product into 2k columns, k word-by-word
+    REDC steps that each add q * n to clear the lowest column, and one
+    carry pass; it leaves a value congruent to x * y / R mod n and below
+    2n, so no value is ever compared with n. A column then sums at most 2k
+    limb products below 2^56 and a carry, which fits uint64 for every
+    k < 128. The exponent n - 1 is walked bit by bit from the top, and a
+    base is a liar when REDC(x, 1) = 1.
+    """
+    import numpy as np
+
+    k = (n.bit_length() + 2 + _LIMB_BITS - 1) // _LIMB_BITS
+    mask, shift = np.uint64(_LIMB_MASK), np.uint64(_LIMB_BITS)
+    inverse = n  # 1/n mod 2^28 by Newton's iteration, from n * n = 1 mod 8
+    for _ in range(4):
+        inverse = inverse * (2 - n * inverse) & _LIMB_MASK
+    q_factor = np.uint64(-inverse & _LIMB_MASK)
+    modulus = _to_limbs([n], k)
+    cols = np.empty((2 * k, len(bases)), dtype=np.uint64)
+    row = np.empty((k, len(bases)), dtype=np.uint64)
+    q = np.empty(len(bases), dtype=np.uint64)
+
+    def montgomery(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(x[0], y, out=cols[:k])
+        cols[k:] = 0
+        for i in range(1, k):
+            np.multiply(x[i], y, out=row)
+            cols[i:i + k] += row
+        for i in range(k):
+            np.multiply(cols[i], q_factor, out=q)
+            np.bitwise_and(q, mask, out=q)
+            np.multiply(q, modulus, out=row)
+            cols[i:i + k] += row
+            cols[i] >>= shift
+            cols[i + 1] += cols[i]
+        for i in range(k, 2 * k - 1):
+            cols[i + 1] += cols[i] >> shift
+            cols[i] &= mask
+        out[:] = cols[k:]
+
+    base = _to_limbs(bases, k)
+    montgomery(base, _to_limbs([(1 << 2 * _LIMB_BITS * k) % n], k), base)  # a * R mod n
+    x = base.copy()
+    for bit in bin(n - 1)[3:]:
+        montgomery(x, x, x)
+        if bit == "1":
+            montgomery(x, base, x)
+    montgomery(x, _to_limbs([1], k), x)
+    return (x[0] == 1) & ~x[1:].any(axis=0)
+
+
+def _to_limbs(values: list[int], k: int) -> np.ndarray:
+    """values, each below 2^(28k), as k rows of 28-bit limbs, low limb first."""
+    import numpy as np
+
+    pairs = (k + 1) // 2  # two limbs per 7 bytes
+    raw = b"".join(v.to_bytes(7 * pairs, "little") for v in values)
+    words = np.zeros((len(values), pairs, 8), dtype=np.uint8)
+    words[..., :7] = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), pairs, 7)
+    words = words.view("<u8")[..., 0].T
+    limbs = np.empty((2 * pairs, len(values)), dtype=np.uint64)
+    limbs[0::2] = words & np.uint64(_LIMB_MASK)
+    limbs[1::2] = words >> np.uint64(_LIMB_BITS)
+    return limbs[:k]
 
 
 def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bool:

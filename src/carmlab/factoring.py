@@ -9,11 +9,10 @@ the error probability below 2^-128 and the answer is flagged.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, FactorizationError
 from .randutil import uniform_below
@@ -29,6 +28,8 @@ def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit by a sieve over a numpy bool array."""
     if limit < 2:
         return []
+    import numpy as np
+
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -37,7 +38,18 @@ def primes_up_to(limit: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
-_SMALL_PRIMES = tuple(primes_up_to(1000))
+def _small_primes(limit: int) -> tuple[int, ...]:
+    """All primes <= limit by a bytearray sieve, so that importing the
+    package does not load numpy."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(itertools.compress(range(limit + 1), sieve))
+
+
+_SMALL_PRIMES = _small_primes(1000)
 # below 1009^2, surviving trial division by _SMALL_PRIMES proves primality
 _TRIAL_COMPLETE_BOUND = 1009 * 1009
 

@@ -14,11 +14,13 @@ import math
 import os
 from concurrent import futures  # imports its process pool on first use only
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, DomainError
 from .factoring import Factorization, factorize, is_prime, primes_up_to
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 100_000_000
 # The sieve's upper end: its prime table up to sqrt(hi) stays near 10 MB and
@@ -129,6 +131,8 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
         return []
     if lo % 2 == 0:
         lo += 1
+    import numpy as np
+
     primes = np.array(primes_up_to(math.isqrt(hi))[1:], dtype=np.int64)  # odd primes
     found: list[int] = []
     for block_lo in range(lo, hi + 1, 2 * _BLOCK_ODDS):
@@ -162,6 +166,8 @@ def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     all its prime factors lie below sqrt(n), so every one is recorded and
     found is n.
     """
+    import numpy as np
+
     count = (hi - lo) // 2 + 1
     found = np.ones(count, dtype=np.int64)  # product of the recorded primes
     primes = primes[:np.searchsorted(primes, math.isqrt(hi), side="right")]

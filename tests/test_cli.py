@@ -2,7 +2,10 @@ import argparse
 import csv
 import io
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,6 +15,15 @@ from carmlab.bench import composite_for_bits
 from carmlab.cli import _MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int, main
 from carmlab.reproduce import HIGH_WITNESS_CATALOG
 from carmlab.schemas import SCHEMAS
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # numpy is imported by the functions that use it, on first use
+    src = str(Path(carmlab.cli.__file__).resolve().parents[1])
+    code = "import sys; import carmlab.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={"PYTHONPATH": src}, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def run(capsys, *argv):

@@ -61,6 +61,16 @@ def test_chernick_verdict_at_the_default_t_makes_few_detector_powmods():
     assert verdict.label is Label.CARMICHAEL and verdict.sample_size == 7871
 
 
+def test_semiprime_verdict_at_the_default_t_makes_only_the_proof_attempts_powmods():
+    # 128 bits, t = 7,810: the proof attempt's first draw is a coprime
+    # witness, and the other draws go to the batch test, which makes no pow
+    n = 240675183209732824508913163728904131481
+    counts = pow_calls_by_module(detect_carmichael_general, n)
+    assert counts["carmlab.detector"] <= 8
+    verdict = detect_carmichael_general(n)
+    assert verdict.label is Label.OTHER_COMPOSITE and verdict.sample_size == 7810
+
+
 def test_chernick_number_with_probable_prime_factors_pays_one_pow_per_draw():
     # 256 bits; its prime factors lie above DETERMINISTIC_WITNESS_BOUND, so
     # no proof is attempted from them and every draw is a plain Fermat test
