@@ -57,7 +57,10 @@ DEFAULT_THRESHOLD = Fraction(45, 100)
 # The draws after the proof attempt are taken _BATCH at a time, which bounds
 # the memory of a batch test. Below _BATCH_MIN bases numpy's per-call cost
 # loses to one pow per base, and above _BATCH_MAX_BITS the batch test is no
-# faster than pow (both measured in BENCH_17.json).
+# faster than pow. Both were read off the kernel-against-pow table in
+# BENCH_17.json, not tuned end to end. The crossover moves with n: near 256
+# bases at 16-64 bits, near 1,024 at 256-512 bits, so a short last batch of
+# a 256- or 512-bit n runs about 12% slower than pow would.
 _BATCH = 8192
 _BATCH_MIN = 512
 _BATCH_MAX_BITS = 512

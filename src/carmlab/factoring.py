@@ -40,7 +40,9 @@ def primes_up_to(limit: int) -> list[int]:
 
 def _small_primes(limit: int) -> tuple[int, ...]:
     """All primes <= limit by a bytearray sieve, so that importing the
-    package does not load numpy."""
+    package does not load numpy. primes_up_to keeps its numpy sieve: at
+    the Korselt sieve's limits near 10^4 it is 2.5 times faster than this
+    one, and a sieve tile about 5% faster (BENCH_17.json)."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):

@@ -7,10 +7,11 @@ draw order, on each side of every dispatch boundary.
 """
 
 import hashlib
+import math
 import random
-import sys
 
 import pytest
+from conftest import builtin_calls_by_module
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,22 +29,9 @@ def fermat_witnesses(n: int, t: int, seed: int) -> list[int]:
     return [a for a in draws if pow(a, n - 1, n) != 1]
 
 
-def detector_calls(name: str, fn, *args) -> int:
-    """Calls of the builtin named name made from carmlab.detector while fn runs."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if (event == "c_call" and getattr(arg, "__name__", None) == name
-                and frame.f_globals.get("__name__") == "carmlab.detector"):
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
+def detector_calls(builtin, fn, *args) -> int:
+    """Calls of builtin made from carmlab.detector while fn runs."""
+    return builtin_calls_by_module(builtin, fn, *args)["carmlab.detector"]
 
 
 @st.composite
@@ -122,13 +110,13 @@ class TestBatches:
     ])
     def test_batch_size_boundary(self, batch, pows):
         t = 1 + batch
-        assert detector_calls("pow", _sample_witnesses, SEMIPRIME_64, t, random.Random(4)) == pows
+        assert detector_calls(pow, _sample_witnesses, SEMIPRIME_64, t, random.Random(4)) == pows
         assert _sample_witnesses(SEMIPRIME_64, t, random.Random(4)) == \
             fermat_witnesses(SEMIPRIME_64, t, 4)
 
     def test_even_n_pays_one_pow_per_draw(self):
         n, t = 2 * SEMIPRIME_64, 1 + _BATCH_MIN
-        assert detector_calls("pow", _sample_witnesses, n, t, random.Random(6)) == t
+        assert detector_calls(pow, _sample_witnesses, n, t, random.Random(6)) == t
         assert _sample_witnesses(n, t, random.Random(6)) == fermat_witnesses(n, t, 6)
 
     @pytest.mark.parametrize("bits, routed", [(_BATCH_MAX_BITS, True),
@@ -136,7 +124,7 @@ class TestBatches:
     def test_modulus_size_boundary(self, bits, routed):
         # odd and composite; the proof attempt ends within 20 draws on this seed
         n, t = (1 << bits) - 1, _BATCH_MIN + 20
-        pows = detector_calls("pow", _sample_witnesses, n, t, random.Random(8))
+        pows = detector_calls(pow, _sample_witnesses, n, t, random.Random(8))
         assert (pows < t) is routed
         assert _sample_witnesses(n, t, random.Random(8)) == fermat_witnesses(n, t, 8)
 
@@ -152,7 +140,7 @@ class TestProvenCarmichael:
         t = default_sample_size(n)
         assert _sample_witnesses(n, t, random.Random(2)) == fermat_witnesses(n, t, 2) == []
         # one per draw would be 7,871
-        assert detector_calls("gcd", _sample_witnesses, n, t, random.Random(2)) < 100
+        assert detector_calls(math.gcd, _sample_witnesses, n, t, random.Random(2)) < 100
 
 
 # Verdicts at the default t before the batch test existed: (label, t,

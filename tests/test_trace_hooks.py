@@ -6,31 +6,19 @@ counts a few module-level names, which must keep existing.
 """
 
 import builtins
+import functools
 import importlib
-import sys
-from collections import Counter
 
 import pytest
+from conftest import builtin_calls_by_module
 
 from carmlab.accuracy import empirical_proportion_distribution
 from carmlab.detector import DetectorConfig, Label, detect_carmichael_general
 from carmlab.korselt import chernick
 
 
-def pow_calls_by_module(fn, *args, **kwargs) -> Counter:
-    """Builtin pow calls made while fn runs, keyed by the caller's __name__."""
-    counts: Counter = Counter()
-
-    def profile(frame, event, arg):
-        if event == "c_call" and arg is builtins.pow:
-            counts[frame.f_globals.get("__name__")] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args, **kwargs)
-    finally:
-        sys.setprofile(None)
-    return counts
+# builtin pow calls made while fn runs, keyed by the caller's __name__
+pow_calls_by_module = functools.partial(builtin_calls_by_module, builtins.pow)
 
 
 # (n, t, seed) -> pow calls. 91 = 7 * 13 pays one pow per draw; the
