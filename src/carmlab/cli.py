@@ -168,7 +168,7 @@ def cmd_classify(args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------- enumerate
 
 def cmd_enumerate(args: argparse.Namespace) -> Report:
-    results = enumerate_carmichael(args.limit, jobs=args.parallel)
+    results = enumerate_carmichael(args.limit)
     lines = [json.dumps(is_carmichael(n).to_json_dict()) if args.certificates else str(n)
              for n in results]
     return Report({"carmichael": results}, text="\n".join(lines))
@@ -321,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_parse_int, required=True)
     p.add_argument("--certificates", action="store_true",
                    help="emit JSON certificate records instead of plain integers")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="scan N ranges concurrently")
     p.add_argument("--output")
     p.set_defaults(handler=cmd_enumerate)
 

@@ -5,7 +5,7 @@ OtherComposite. It runs the primality test first. A prime is labelled
 Prime at once: every base is a Fermat liar for a prime, so its t draws
 would find 0 witnesses, and the verdict reports t and 0 witnesses without
 making them. Above DETERMINISTIC_WITNESS_BOUND that test is probabilistic,
-and such a Prime verdict carries basis ProbablePrime and probabilistic=True.
+and such a Prime verdict carries basis ProbablePrime and is probabilistic.
 
 A composite n is told apart from Carmichael numbers by sampling: draw t
 bases with replacement from {1, ..., n-1}, mark the Fermat witnesses, and
@@ -129,17 +129,19 @@ class Verdict:
     evidence: tuple[int, int] | None  # (a, gcd(a, n)) exhibiting a coprime witness
     threshold: Fraction
     seed: int
-    probabilistic: bool = False  # a Prime verdict from the probabilistic primality regime
 
     def __post_init__(self):
         if self.witnesses_found > self.sample_size:
             raise DomainError("witnesses_found cannot exceed sample_size")
         if self.label is Label.OTHER_COMPOSITE and self.evidence is None:
             raise DomainError("OtherComposite requires witness evidence")
-        if self.probabilistic and self.label is not Label.PRIME:
-            raise DomainError("only a Prime verdict can be probabilistic")
-        if self.probabilistic != (self.basis is Basis.PROBABLE_PRIME):
-            raise DomainError("a verdict is probabilistic exactly when its basis is ProbablePrime")
+        if self.basis is Basis.PROBABLE_PRIME and self.label is not Label.PRIME:
+            raise DomainError("only a Prime verdict can have basis ProbablePrime")
+
+    @property
+    def probabilistic(self) -> bool:
+        """True for a Prime verdict from the probabilistic primality regime."""
+        return self.basis is Basis.PROBABLE_PRIME
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "label": self.label.value, "basis": self.basis.value,
@@ -322,8 +324,7 @@ def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verd
     common = dict(n=n, sample_size=t, threshold=cfg.threshold, seed=cfg.rng_seed)
     if check.is_prime:
         basis = Basis.PROBABLE_PRIME if check.probabilistic else Basis.DETERMINISTIC_PRIMALITY
-        return Verdict(label=Label.PRIME, basis=basis, witnesses_found=0, evidence=None,
-                       probabilistic=check.probabilistic, **common)
+        return Verdict(label=Label.PRIME, basis=basis, witnesses_found=0, evidence=None, **common)
     witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed))
     common["witnesses_found"] = len(witnesses)
     if Fraction(len(witnesses), t) < cfg.threshold:

@@ -11,8 +11,6 @@ the sieve strides along these classes.
 from __future__ import annotations
 
 import math
-import os
-from concurrent import futures  # imports its process pool on first use only
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -89,35 +87,19 @@ def chernick(m: int) -> int | None:
     return None
 
 
-def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP,
-                         jobs: int = 1) -> list[int]:
+def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
     """All Carmichael numbers <= limit, in increasing order.
 
     Blocked sieve over the odd candidates: each prime p below sqrt(limit)
     records itself on its Korselt residue class above p; no candidate is
     factored or divided, and one is kept when the product of its recorded
-    primes equals it (see _scan_block).  With jobs > 1,
-    contiguous spans run in up to min(jobs, cpu count) worker processes
-    and concatenate in order; limit above SIEVE_HI_CAP raises
-    CapExceededError before any starts.
+    primes equals it (see _scan_block).
     """
     if limit < 0:
         raise DomainError(f"limit must be non-negative, got {limit}")
     if limit > cap:
         raise CapExceededError(f"limit {limit} exceeds the enumeration cap {cap}")
-    if limit > SIEVE_HI_CAP:
-        raise CapExceededError(f"limit {limit} exceeds the sieve cap {SIEVE_HI_CAP}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        return enumerate_carmichael_range(3, limit)
-    # spans (edges[i], edges[i + 1]] tile [3, limit]
-    edges = [2 + (limit - 2) * i // workers for i in range(workers + 1)]
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(enumerate_carmichael_range,
-                         [edge + 1 for edge in edges[:-1]], edges[1:])
-        return [n for part in parts for n in part]
+    return enumerate_carmichael_range(3, limit)
 
 
 def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:

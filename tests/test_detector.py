@@ -244,18 +244,17 @@ class TestVerdictType:
 
     def test_only_prime_can_be_probabilistic(self):
         with pytest.raises(DomainError):
-            Verdict(n=561, label=Label.CARMICHAEL,
-                    basis=Basis.NO_NON_TRIVIAL_WITNESS_FOUND, sample_size=5,
+            Verdict(n=561, label=Label.CARMICHAEL, basis=Basis.PROBABLE_PRIME, sample_size=5,
                     witnesses_found=0, evidence=None,
-                    threshold=Fraction(45, 100), seed=0, probabilistic=True)
+                    threshold=Fraction(45, 100), seed=0)
 
     def test_probabilistic_exactly_when_probable_prime(self):
-        for basis, probabilistic in ((Basis.PROBABLE_PRIME, False),
-                                     (Basis.DETERMINISTIC_PRIMALITY, True)):
-            with pytest.raises(DomainError):
-                Verdict(n=2**127 - 1, label=Label.PRIME, basis=basis, sample_size=5,
-                        witnesses_found=0, evidence=None,
-                        threshold=Fraction(45, 100), seed=0, probabilistic=probabilistic)
+        for basis in (Basis.PROBABLE_PRIME, Basis.DETERMINISTIC_PRIMALITY):
+            verdict = Verdict(n=2**127 - 1, label=Label.PRIME, basis=basis, sample_size=5,
+                              witnesses_found=0, evidence=None,
+                              threshold=Fraction(45, 100), seed=0)
+            assert verdict.probabilistic is (basis is Basis.PROBABLE_PRIME)
+            assert verdict.to_json_dict()["probabilistic"] is verdict.probabilistic
 
     def test_other_composite_requires_evidence(self):
         with pytest.raises(DomainError):

@@ -125,6 +125,10 @@ class TestEnumerate:
     def test_above_cap_rejected(self):
         with pytest.raises(CapExceededError):
             enumerate_carmichael(10**9)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            enumerate_carmichael(10**15, cap=10**15)  # above SIEVE_HI_CAP
+        assert time.perf_counter() - start < 1
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -168,13 +172,13 @@ class TestEnumerate:
 
     @pytest.mark.slow
     def test_pinch_count_to_1e9(self):
-        # 0.8 to 1.3 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
-        assert len(enumerate_carmichael(10**9, cap=10**9, jobs=2)) == 646
+        # about 1.8 s on a shared 2-CPU Xeon; run with `pytest -m slow`
+        assert len(enumerate_carmichael(10**9, cap=10**9)) == 646
 
     @pytest.mark.slow
     def test_pinch_count_to_1e10(self):
-        # 8.5 to 8.8 s with two workers on a shared 2-CPU Xeon; run with `pytest -m slow`
-        assert len(enumerate_carmichael(10**10, cap=10**10, jobs=2)) == 1547
+        # about 18 s on a shared 2-CPU Xeon; run with `pytest -m slow`
+        assert len(enumerate_carmichael(10**10, cap=10**10)) == 1547
 
 
 def reference_scan_block(lo, hi, primes):
@@ -267,63 +271,6 @@ class TestSieveAgainstReference:
     @settings(max_examples=40)
     def test_random_window_property(self, lo, width):
         assert_sieves_agree(lo, lo + width)
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """A 4-CPU machine whose process pool maps in-process; the list holds the
-    max_workers of every pool built, in order."""
-    built = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(korselt.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(korselt.os, "cpu_count", lambda: 4)
-    return built
-
-
-class TestParallelEnumerate:
-    def test_parallel_matches_serial(self):
-        assert enumerate_carmichael(10**5, jobs=3) == enumerate_carmichael(10**5)
-
-    def test_workers_clamped_to_cpu_count(self, fake_pool):
-        assert enumerate_carmichael(10**5, jobs=100_000) == CARMICHAELS_TO_1E5
-        assert enumerate_carmichael(10**5, jobs=3) == CARMICHAELS_TO_1E5
-        assert fake_pool == [4, 3]
-
-    def test_unknown_cpu_count_runs_serially(self, fake_pool, monkeypatch):
-        monkeypatch.setattr(korselt.os, "cpu_count", lambda: None)
-        assert enumerate_carmichael(2000, jobs=8) == [561, 1105, 1729]
-        assert fake_pool == []
-
-    @pytest.mark.parametrize("limit", [0, 2, 9, 560, 561, 1728, 1729])
-    def test_spans_end_at_limit(self, fake_pool, limit):
-        for jobs in (2, 3, 4):
-            assert enumerate_carmichael(limit, jobs=jobs) == enumerate_carmichael(limit)
-
-    def test_cap_checked_before_any_pool(self, fake_pool):
-        with pytest.raises(CapExceededError):
-            enumerate_carmichael(10**9, jobs=2)
-        with pytest.raises(CapExceededError):
-            enumerate_carmichael(10**15, cap=10**15, jobs=2)  # above SIEVE_HI_CAP
-        assert fake_pool == []
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected(self, fake_pool, jobs):
-        with pytest.raises(DomainError):
-            enumerate_carmichael(100, jobs=jobs)
-        assert fake_pool == []
 
 
 class TestCertificateType:
