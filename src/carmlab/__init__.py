@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 from .accuracy import (AccuracyReport, ProportionHistogram, binomial_tail_exact,
                        carmichael_prior, empirical_proportion_distribution,
                        normal_cdf, posterior_composite_given, posterior_general,
-                       prime_prior, z_score)
+                       prime_prior)
 from .arith import natural_log_squared_floor
 from .bench import BenchReport, composite_for_bits, run_benchmark
 from .bound import (BoundEvaluation, BoundVerdict, bound_closed_form, bound_curve,
-                    bound_curve_slope, classify_by_bound, prime_factor_bound)
+                    classify_by_bound, prime_factor_bound)
 from .census import (CensusMethod, WitnessCensus, WitnessKind, census_brute_force,
                      census_exact, classify_witness)
 from .detector import (Basis, DetectorConfig, Label, Verdict, default_sample_size,

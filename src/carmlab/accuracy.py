@@ -49,14 +49,6 @@ def normal_cdf(z) -> mpf:
         return mp.erfc(-_to_mpf(z) / mp.sqrt(2)) / 2
 
 
-def z_score(threshold, t: int) -> mpf:
-    """Standardized distance of the threshold from the worst-case mean 1/2:
-    (threshold - 1/2) / sqrt((1/t) * (1/2) * (1/2))."""
-    thr = DetectorConfig(t_override=t, threshold=threshold).threshold
-    with mp.workdps(_DPS):
-        return (_to_mpf(thr) - mpf(1) / 2) / mp.sqrt(mpf(1) / (4 * t))
-
-
 def carmichael_prior(bit_length: int) -> mpf:
     """Density of Carmichael numbers among b-bit integers under the x^0.34
     growth model: ((2^b)^0.34 - (2^(b-1))^0.34) / 2^(b-1), evaluated in

@@ -55,14 +55,6 @@ def bound_curve(a, n: int) -> mpf:
         return _curve(point, _half_exponent(n))
 
 
-def bound_curve_slope(a, n: int) -> mpf:
-    """Derivative (k+1) * a^k - 1; strictly negative for a >= 1."""
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
-    with mp.workprec(_PRECISION_BITS):
-        return _slope(mpf(a), _half_exponent(n))
-
-
 @dataclass(frozen=True)
 class BoundEvaluation:
     """Both Newton iterates plus a verified bisection bracket of the true zero.

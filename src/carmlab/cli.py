@@ -171,7 +171,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
     results = enumerate_carmichael(args.limit)
     lines = [json.dumps(is_carmichael(n).to_json_dict()) if args.certificates else str(n)
              for n in results]
-    return Report({"carmichael": results}, text="\n".join(lines))
+    return Report({}, text="\n".join(lines))
 
 
 # ------------------------------------------------------------------ bound

@@ -83,10 +83,10 @@ class Basis(Enum):
 
 
 def default_sample_size(n: int) -> int:
-    """floor((ln n)^2), clamped to at least one draw."""
+    """floor((ln n)^2) for n >= 3, which is at least 1; one draw below 3."""
     if n < 3:
         return 1
-    return max(1, natural_log_squared_floor(n))
+    return natural_log_squared_floor(n)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,4 @@ class CapExceededError(RuntimeError):
 
 
 class FactorizationError(RuntimeError):
-    """Factoring ran out of budget.  Carries whatever was found so far."""
-
-    def __init__(self, message: str, partial: tuple[tuple[int, int], ...] = (),
-                 cofactor: int = 1):
-        super().__init__(message)
-        self.partial = partial    # (prime, exponent) pairs already extracted
-        self.cofactor = cofactor  # unfactored composite remainder
+    """Factoring ran out of budget on a composite it could not split."""

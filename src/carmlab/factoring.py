@@ -152,9 +152,6 @@ class Factorization:
     def squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 @dataclass(frozen=True)
 class FactorBudget:
@@ -179,8 +176,8 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Complete factorization of n >= 2 within the given effort budget.
 
     Trial division by the cached small primes, then Brent's rho with
-    per-n deterministic parameters; raises FactorizationError carrying the
-    partial result when the budget runs out.
+    per-n deterministic parameters; raises FactorizationError naming the
+    composite it stopped at when the budget runs out.
     """
     if n < 2:
         raise DomainError(f"factorize needs n >= 2, got {n}")
@@ -201,16 +198,9 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
                 continue
             divisor = _split_composite(c, budget)
             if divisor is None:
-                cofactor = c
-                for left in stack:
-                    if not prime_check(left).is_prime:
-                        cofactor *= left
-                    else:
-                        found[left] = found.get(left, 0) + 1
                 raise FactorizationError(
                     f"factorization incomplete for {n}: effort budget exhausted "
-                    f"at composite cofactor {cofactor}",
-                    partial=tuple(sorted(found.items())), cofactor=cofactor)
+                    f"at composite cofactor {c}")
             stack.append(divisor)
             stack.append(c // divisor)
     return Factorization(n, tuple(sorted(found.items())))

@@ -34,12 +34,14 @@ class CarmichaelCertificate:
 
     n: int
     factorization: Factorization
-    squarefree: bool
-    divisibility_checks: tuple[tuple[int, bool], ...]
 
     @property
-    def composite(self) -> bool:
-        return sum(e for _, e in self.factorization.factors) >= 2
+    def squarefree(self) -> bool:
+        return self.factorization.squarefree
+
+    @property
+    def divisibility_checks(self) -> tuple[tuple[int, bool], ...]:
+        return tuple((p, (self.n - 1) % (p - 1) == 0) for p in self.factorization.primes)
 
     @property
     def is_carmichael(self) -> bool:
@@ -69,8 +71,7 @@ def is_carmichael(n: int, factorization: Factorization | None = None) -> Carmich
         factorization = Factorization(1, ()) if n == 1 else factorize(n)
     elif factorization.subject != n:
         raise DomainError("factorization does not describe n")
-    checks = tuple((p, (n - 1) % (p - 1) == 0) for p in factorization.primes)
-    return CarmichaelCertificate(n, factorization, factorization.squarefree, checks)
+    return CarmichaelCertificate(n, factorization)
 
 
 def chernick(m: int) -> int | None:
@@ -87,24 +88,27 @@ def chernick(m: int) -> int | None:
     return None
 
 
-def enumerate_carmichael(limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+def enumerate_carmichael(limit: int) -> list[int]:
     """All Carmichael numbers <= limit, in increasing order.
 
     Blocked sieve over the odd candidates: each prime p below sqrt(limit)
     records itself on its Korselt residue class above p; no candidate is
     factored or divided, and one is kept when the product of its recorded
-    primes equals it (see _scan_block).
+    primes equals it (see _scan_block).  A limit above the fixed
+    DEFAULT_ENUMERATION_CAP raises CapExceededError;
+    enumerate_carmichael_range(3, limit) runs the same sieve past it.
     """
     if limit < 0:
         raise DomainError(f"limit must be non-negative, got {limit}")
-    if limit > cap:
-        raise CapExceededError(f"limit {limit} exceeds the enumeration cap {cap}")
+    if limit > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(f"limit {limit} exceeds the enumeration cap "
+                               f"{DEFAULT_ENUMERATION_CAP}")
     return enumerate_carmichael_range(3, limit)
 
 
 def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
-    """Carmichael numbers in [lo, hi]; blocks are independent, so disjoint
-    ranges can run concurrently and concatenate in order.  hi above
+    """Carmichael numbers in [lo, hi]; windows that tile a range give its
+    list when their results are concatenated in order.  hi above
     SIEVE_HI_CAP raises CapExceededError before anything is allocated."""
     if hi > SIEVE_HI_CAP:
         raise CapExceededError(f"hi {hi} exceeds the sieve cap {SIEVE_HI_CAP}")

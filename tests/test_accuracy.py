@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 from carmlab.accuracy import (binomial_tail_exact, carmichael_prior,
                               empirical_proportion_distribution, normal_cdf,
                               posterior_composite_given, posterior_general,
-                              prime_prior, z_score)
+                              prime_prior)
 from carmlab.census import census_brute_force
 from carmlab.detector import DetectorConfig, detect_carmichael_general
 from carmlab.errors import CapExceededError, DomainError
@@ -60,25 +60,29 @@ class TestNormalCdf:
 
 
 class TestZScore:
+    """The worst-case z, (threshold - 1/2) / sqrt(1/(4t)), as the posterior
+    report records it."""
+
     def test_textbook_point(self):
-        assert abs(z_score(Fraction(45, 100), 100) + 1) < mpf("1e-30")
+        z = posterior_composite_given(100, Fraction(45, 100)).z
+        assert abs(z + 1) < mpf("1e-30")
 
     def test_threshold_at_mean(self):
-        assert z_score(Fraction(1, 2), 7) == 0
+        assert posterior_composite_given(7, Fraction(1, 2)).z == 0
 
     def test_half_width_grid_point(self):
         # t = 691^2 makes the z-score exactly -69.1
-        z = z_score(Fraction(45, 100), 477481)
+        z = posterior_composite_given(477481, Fraction(45, 100)).z
         assert abs(10 * z + 691) < mpf("1e-25")
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            z_score(Fraction(45, 100), 0)
+            posterior_composite_given(0, Fraction(45, 100))
         with pytest.raises(DomainError):
-            z_score(Fraction(3, 2), 10)
+            posterior_composite_given(10, Fraction(3, 2))
 
     def test_tail_mass_decreases_with_t(self):
-        masses = [normal_cdf(z_score(Fraction(45, 100), t))
+        masses = [posterior_composite_given(t, Fraction(45, 100)).p
                   for t in (10, 50, 100, 500, 1000, 5000)]
         assert all(a > b for a, b in zip(masses, masses[1:]))
 
@@ -294,7 +298,7 @@ class TestBinomialTailExact:
 
     def test_normal_approximation_error_is_small(self):
         exact = binomial_tail_exact(Fraction(45, 100), 2000, Fraction(1, 2))
-        approx = normal_cdf(z_score(Fraction(45, 100), 2000))
+        approx = posterior_composite_given(2000, Fraction(45, 100)).p
         assert abs(float(exact) - float(approx)) < 0.02
 
     def test_validation(self):
