@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -46,10 +47,16 @@ class BenchPoint:
 class BenchReport:
     points: tuple[BenchPoint, ...]
     slope: float
-    slope_limit: float
-    within_limit: bool
     t: int
     seed: int
+
+    @property
+    def slope_limit(self) -> float:
+        return SLOPE_LIMIT
+
+    @property
+    def within_limit(self) -> bool:
+        return self.slope <= SLOPE_LIMIT
 
     def to_json_dict(self) -> dict:
         return {"points": [p.to_json_dict() for p in self.points],
@@ -99,25 +106,16 @@ def run_benchmark(bit_lengths: tuple[int, ...] = DEFAULT_BIT_LENGTHS, t: int = 1
     if max(bit_lengths) > MAX_BENCH_BITS:
         raise CapExceededError(f"bit length {max(bit_lengths)} exceeds the bench cap "
                                f"{MAX_BENCH_BITS}")
+    moduli = [composite_for_bits(bits, seed) for bits in bit_lengths]
+    if len({n.bit_length() for n in moduli}) == 1:
+        raise DomainError(f"bit lengths {':'.join(map(str, bit_lengths))} all produce "
+                          f"{moduli[0].bit_length()}-bit moduli; a slope needs two sizes")
+    cfg = DetectorConfig(t_override=t, rng_seed=seed)
     points = []
-    for bits in bit_lengths:
-        n = composite_for_bits(bits, seed)
-        cfg = DetectorConfig(t_override=t, rng_seed=seed)
+    for n in moduli:
         per_call, calls = _seconds_per_call(n, cfg, repeats)
         points.append(BenchPoint(bits=n.bit_length(), n=n, t=t, calls=calls,
                                  seconds_per_call=per_call))
-    slope = _fit_slope([math.log(p.bits) for p in points],
-                       [math.log(p.seconds_per_call) for p in points])
-    return BenchReport(points=tuple(points), slope=slope, slope_limit=SLOPE_LIMIT,
-                       within_limit=slope <= SLOPE_LIMIT, t=t, seed=seed)
-
-
-def _fit_slope(xs: list[float], ys: list[float]) -> float:
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise DomainError("bit lengths must not all be equal")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx
+    slope = statistics.linear_regression([math.log(p.bits) for p in points],
+                                         [math.log(p.seconds_per_call) for p in points]).slope
+    return BenchReport(points=tuple(points), slope=slope, t=t, seed=seed)

@@ -67,7 +67,6 @@ class BoundEvaluation:
     k: mpf
     x1: mpf
     x2: mpf
-    f_at_x1: mpf
     root_bracket: tuple[mpf, mpf]
 
     def to_json_dict(self, verdict: str | None = None) -> dict:
@@ -100,7 +99,7 @@ def prime_factor_bound(n: int) -> BoundEvaluation:
                 lo = mid
             else:
                 hi = mid
-        return BoundEvaluation(n, k, x1, x2, f_x1, (lo, hi))
+        return BoundEvaluation(n, k, x1, x2, (lo, hi))
 
 
 def bound_closed_form(n: int) -> mpf:

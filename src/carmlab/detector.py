@@ -36,7 +36,6 @@ import itertools
 import math
 import operator
 import random
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -45,8 +44,7 @@ from typing import TYPE_CHECKING
 
 from .arith import natural_log_squared_floor
 from .errors import DomainError
-from .factoring import Factorization, PrimalityCheck, prime_check
-from .korselt import is_carmichael
+from .factoring import PrimalityCheck, prime_check
 from .randutil import uniform_below
 
 if TYPE_CHECKING:
@@ -266,7 +264,8 @@ def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bo
     gcd(c - 1, n) for every value c of a liar's chain: since lambda(n)
     divides n - 1 for a Carmichael n, at least 3/4 of its units split it
     this way (Miller 1976; Monier 1980). Once every factor is a proven
-    prime, Korselt's criterion decides. A factor that is only probably
+    prime, Korselt's criterion decides on those primes, which multiply to
+    n: it is squarefree when none repeats. A factor that is only probably
     prime ends the attempt, and so does a prime n, on its first draw.
     """
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -290,8 +289,8 @@ def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bo
         if any(check.probabilistic for check in checks.values()):
             return False
         if all(check.is_prime for check in checks.values()):
-            found = Factorization(n, tuple(sorted(Counter(factors).items())))
-            return bool(is_carmichael(n, found))
+            return (len(set(factors)) == len(factors) > 1
+                    and all((n - 1) % (p - 1) == 0 for p in factors))
     return False
 
 

@@ -57,9 +57,7 @@ _TRIAL_COMPLETE_BOUND = 1009 * 1009
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
-    # n odd, n > 2
-    if base % n == 0:
-        return True
+    # n odd, n > 2, and 2 <= base <= n - 2
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -79,7 +79,6 @@ class TestPrimeFactorBound:
         assert rel_err(ev.k, REF_561["k"]) < mpf("1e-20")
         assert rel_err(ev.x1, REF_561["x1"]) < mpf("1e-20")
         assert rel_err(ev.x2, REF_561["x2"]) < mpf("1e-20")
-        assert rel_err(ev.f_at_x1, REF_561["f_at_x1"]) < mpf("1e-20")
 
     def test_1729_zero_in_figure_window(self):
         ev = prime_factor_bound(1729)

@@ -342,6 +342,11 @@ class TestBenchCommand:
         assert exit_info.value.code == EXIT_USAGE
         assert "'abc' is not an integer" in capsys.readouterr().err
 
+    def test_lengths_that_produce_one_size_are_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "bench", "--bits", "8:9")
+        assert code == EXIT_USAGE
+        assert "bit lengths 8:9 all produce 8-bit moduli" in err
+
     def test_bit_length_above_cap_is_a_budget_error(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "bench", "--bits", "64:10**6")

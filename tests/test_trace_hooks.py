@@ -49,6 +49,13 @@ def test_chernick_verdict_at_the_default_t_makes_few_detector_powmods():
     assert verdict.label is Label.CARMICHAEL and verdict.sample_size == 7871
 
 
+def test_chernick_verdict_proves_each_prime_factor_once():
+    # prime_check on n, then once on each part the proof splits off; the
+    # Korselt check on the proven primes runs no second primality test
+    counts = pow_calls_by_module(detect_carmichael_general, chernick(640341253625))
+    assert counts["carmlab.factoring"] == 38
+
+
 def test_semiprime_verdict_at_the_default_t_makes_only_the_proof_attempts_powmods():
     # 128 bits, t = 7,810: the proof attempt's first draw is a coprime
     # witness, and the other draws go to the batch test, which makes no pow
