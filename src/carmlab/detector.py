@@ -23,11 +23,13 @@ with their product mod n, which is 1 exactly when every draw is coprime.
 
 When the attempt gives up, the remaining draws share one modulus and one
 exponent, so a batch of at least _BATCH_MIN of them is tested at once by
-Montgomery multiplication (Montgomery 1985) over numpy limb columns, which
-makes a 128-bit verdict about four times faster than one pow per draw.
-Smaller batches, even n and n above _BATCH_MAX_BITS, where numpy's
-per-call cost or the limb products outweigh the lockstep, keep one pow
-per draw. numpy is imported by the batch test alone.
+Montgomery multiplication (Montgomery 1985) over numpy limb columns, with
+a sliding window over the exponent and a dedicated squaring. On a 2-CPU
+EPYC that makes a 128-bit verdict about 5.5 times faster than one pow per
+draw, and the draws of a 1024-bit one about 2.7 times. Smaller batches,
+where numpy's per-call cost outweighs the lockstep, even n and n above
+_BATCH_MAX_BITS keep one pow per draw. numpy is imported by the batch
+test alone.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -53,15 +56,18 @@ if TYPE_CHECKING:
 DEFAULT_THRESHOLD = Fraction(45, 100)
 
 # The draws after the proof attempt are taken _BATCH at a time, which bounds
-# the memory of a batch test. Below _BATCH_MIN bases numpy's per-call cost
-# loses to one pow per base, and above _BATCH_MAX_BITS the batch test is no
-# faster than pow. Both were read off the kernel-against-pow table in
-# BENCH_17.json, not tuned end to end. The crossover moves with n: near 256
-# bases at 16-64 bits, near 1,024 at 256-512 bits, so a short last batch of
-# a 256- or 512-bit n runs about 12% slower than pow would.
+# the memory of a batch test: at _BATCH_MAX_BITS, k = 37 limbs, its table of
+# odd powers is 8 * k * 8,192 words (19 MB) and the whole test peaks near
+# 40 MB. Below _BATCH_MIN bases numpy's per-call cost loses to one pow per
+# base. Both were read off the kernel-against-pow table in BENCH_21.json,
+# not tuned end to end. At 512 bases the batch test is 1.2-2.0 times as
+# fast as pow from 16 to 2048 bits, and at 256 it loses at 16 bits and
+# from 128 to 512. Full batches are 2.7 times as fast at 1024 bits and 2.4
+# at 2048, but no larger n is routed: 1024 bits is the top of the sizes the
+# detector is measured at, and a 2048-bit batch needs twice the memory.
 _BATCH = 8192
 _BATCH_MIN = 512
-_BATCH_MAX_BITS = 512
+_BATCH_MAX_BITS = 1024
 _LIMB_BITS = 28
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -185,17 +191,30 @@ def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
 
 def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
     """The mask pow(a, n - 1, n) == 1 over bases, for an odd n >= 3 and
-    every 0 <= a < n, from one Montgomery ladder run over all bases at once.
+    every 0 <= a < n, from one Montgomery exponentiation run over all
+    bases at once.
 
     A value is a column of k 28-bit limbs in a (k, len(bases)) uint64
     array, with R = 2^(28k) > 4n. A Montgomery product (Montgomery 1985)
     of x, y < 2n is a schoolbook product into 2k columns, k word-by-word
     REDC steps that each add q * n to clear the lowest column, and one
     carry pass; it leaves a value congruent to x * y / R mod n and below
-    2n, so no value is ever compared with n. A column then sums at most 2k
-    limb products below 2^56 and a carry, which fits uint64 for every
-    k < 128. The exponent n - 1 is walked bit by bit from the top, and a
-    base is a liar when REDC(x, 1) = 1.
+    2n, so no value is ever compared with n. A squaring forms each cross
+    product x_i * x_j (i < j) once, from 2 * x_i, and each x_i^2, so its
+    columns hold the same sums as the schoolbook product's: a doubled
+    cross product, below 2^57, stands for the two terms x_i * x_j and
+    x_j * x_i. Either way a column sums at most 2k limb products below
+    2^56 and a carry, which fits uint64 for every k < 128. Products take
+    turns between two column buffers, so each result is read in place
+    from the upper half of its buffer while the next product fills the
+    other one.
+
+    The exponent n - 1 is walked from the top in sliding windows of at
+    most 4 bits that start and end with a one (Menezes, van Oorschot and
+    Vanstone 1996, section 14.6): each bit costs a squaring and each
+    window one product with a precomputed odd power a, a^3, ..., a^15, so
+    a 128-bit n takes about 160 products where bit by bit takes about 192.
+    A base is a liar when REDC(x, 1) = 1.
     """
     import numpy as np
 
@@ -206,16 +225,12 @@ def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
         inverse = inverse * (2 - n * inverse) & _LIMB_MASK
     q_factor = np.uint64(-inverse & _LIMB_MASK)
     modulus = _to_limbs([n], k)
-    cols = np.empty((2 * k, len(bases)), dtype=np.uint64)
+    buffers = [np.empty((2 * k, len(bases)), dtype=np.uint64) for _ in range(2)]
     row = np.empty((k, len(bases)), dtype=np.uint64)
+    doubled = np.empty((k, len(bases)), dtype=np.uint64)
     q = np.empty(len(bases), dtype=np.uint64)
 
-    def montgomery(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(x[0], y, out=cols[:k])
-        cols[k:] = 0
-        for i in range(1, k):
-            np.multiply(x[i], y, out=row)
-            cols[i:i + k] += row
+    def reduce(cols: np.ndarray) -> np.ndarray:
         for i in range(k):
             np.multiply(cols[i], q_factor, out=q)
             np.bitwise_and(q, mask, out=q)
@@ -226,16 +241,46 @@ def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
         for i in range(k, 2 * k - 1):
             cols[i + 1] += cols[i] >> shift
             cols[i] &= mask
-        out[:] = cols[k:]
+        buffers.reverse()  # the next product must not overwrite this one
+        return cols[k:]
 
-    base = _to_limbs(bases, k)
-    montgomery(base, _to_limbs([(1 << 2 * _LIMB_BITS * k) % n], k), base)  # a * R mod n
-    x = base.copy()
-    for bit in bin(n - 1)[3:]:
-        montgomery(x, x, x)
-        if bit == "1":
-            montgomery(x, base, x)
-    montgomery(x, _to_limbs([1], k), x)
+    def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        cols = buffers[0]
+        np.multiply(x[0], y, out=cols[:k])
+        cols[k:] = 0
+        for i in range(1, k):
+            np.multiply(x[i], y, out=row)
+            cols[i:i + k] += row
+        return reduce(cols)
+
+    def square(x: np.ndarray) -> np.ndarray:
+        cols = buffers[0]
+        np.multiply(x, x, out=cols[0::2])
+        cols[1::2] = 0
+        np.left_shift(x, 1, out=doubled)
+        for i in range(k - 1):
+            cross = row[:k - 1 - i]
+            np.multiply(doubled[i], x[i + 1:], out=cross)
+            cols[2 * i + 1:i + k] += cross
+        return reduce(cols)
+
+    table = np.empty((8, k, len(bases)), dtype=np.uint64)  # a, a^3, ..., a^15 times R mod n
+    table[0] = product(_to_limbs(bases, k), _to_limbs([(1 << 2 * _LIMB_BITS * k) % n], k))
+    base_squared = square(table[0]).copy()
+    for j in range(1, 8):
+        table[j] = product(table[j - 1], base_squared)
+    exponent = bin(n - 1)[2:]
+    windows = re.finditer("1(?:[01]{0,2}1)?", exponent)  # at most 4 bits, 1 at each end
+    first = next(windows)
+    x, done = table[int(first[0], 2) // 2], first.end()
+    for window in windows:
+        for _ in range(window.end() - done):
+            x = square(x)
+        x = product(x, table[int(window[0], 2) // 2])
+        done = window.end()
+    for _ in range(len(exponent) - done):
+        x = square(x)
+    x = product(x, _to_limbs([1], k))
     return (x[0] == 1) & ~x[1:].any(axis=0)
 
 

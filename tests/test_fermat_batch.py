@@ -48,15 +48,36 @@ def modulus_and_bases(draw):
     return n, bases
 
 
+# moduli whose exponent n - 1 has a bit pattern that the 4-bit window walk
+# must handle at its edges
+WINDOW_STRESS = {
+    "2^m+1": lambda m: 2**m + 1,  # n - 1 is a one bit and then zeros
+    "2^m-1": lambda m: 2**m - 1,  # ones and a final zero: full windows
+    "3*2^m+1": lambda m: 3 * 2**m + 1,  # one window, 11, and then zeros
+    "alternating": lambda m: int("10" * m, 2) + 1,  # windows 101 with a zero between
+}
+
+
 class TestKernel:
     @given(modulus_and_bases())
     def test_matches_pow(self, case):
         n, bases = case
         assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
 
-    @pytest.mark.parametrize("n", [3, 9, 27, 243, 561, 1105, 1729, 2821, 3 * 5 * 7, 7**3 * 11])
+    # the odd n from 3 to 33 have exponents of 2 to 6 bits, around one 4-bit window
+    @pytest.mark.parametrize("n", sorted({243, 561, 1105, 1729, 2821, 3 * 5 * 7, 7**3 * 11}
+                                         | set(range(3, 34, 2))))
     def test_every_base_of_small_moduli(self, n):
         bases = list(range(n))
+        assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
+
+    @pytest.mark.parametrize("m", [16, 61, 62, 63, 64, 127])
+    @pytest.mark.parametrize("family", WINDOW_STRESS)
+    def test_exponents_that_stress_the_window(self, family, m):
+        # m from 61 to 64 varies the exponent's length mod 4
+        n = WINDOW_STRESS[family](m)
+        rng = random.Random(m)
+        bases = [1, 2, n - 2, n - 1] + [rng.randrange(n) for _ in range(40)]
         assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
 
     def test_a_chernick_number_whose_units_are_all_liars(self):
@@ -80,7 +101,11 @@ class TestKernel:
     def test_column_sums_fit_uint64_at_the_largest_routed_modulus(self):
         # A column of the Montgomery product sums k limb products from x * y,
         # k from q * n, and the carry out of the column below; every limb is
-        # below 2^28 and k is the least with 2^(28k) > 4n.
+        # below 2^28 and k is the least with 2^(28k) > 4n. A squaring's
+        # column holds the same sum, each doubled cross product 2 * x_i * x_j
+        # standing for x_i * x_j and x_j * x_i. Below, n's limbs are all
+        # ones, which maximises the q * n terms, and the walk over n - 1
+        # runs a squaring for each of its bits after the first window.
         k = -(-(_BATCH_MAX_BITS + 2) // _LIMB_BITS)
         limb = (1 << _LIMB_BITS) - 1
         products = 2 * k * limb * limb
