@@ -11,7 +11,8 @@ counting function, prime density from the 1/ln x law.
 
 Everything runs in mpmath: at 1024 bits the tail mass sits near
 10^-1000, far below what doubles can hold, and the posteriors must stay
-honest rather than saturate by underflow.
+honest rather than saturate by underflow.  mpmath is imported on first
+use, so the exact binomial tail and a histogram at a given t never load it.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING
 
 from .census import census_exact
 from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
 from .errors import CapExceededError, DomainError
 from .factoring import Factorization
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 _DPS = 50
 _EXACT_TAIL_MAX_T = 10_000
@@ -34,6 +37,8 @@ HISTOGRAM_DRAW_CAP = 10**7  # t * trials; the reproduced figure uses 4 * 10^5
 
 
 def _to_mpf(value) -> mpf:
+    from mpmath import mpf
+
     if isinstance(value, Fraction):
         return mpf(value.numerator) / value.denominator
     return mpf(value)
@@ -45,6 +50,8 @@ def normal_cdf(z) -> mpf:
     Returned at 50 significant digits, so the far tail keeps its true
     magnitude instead of underflowing to zero.
     """
+    from mpmath import mp
+
     with mp.workdps(_DPS):
         return mp.erfc(-_to_mpf(z) / mp.sqrt(2)) / 2
 
@@ -55,6 +62,8 @@ def carmichael_prior(bit_length: int) -> mpf:
     exponent space so no intermediate overflows."""
     if bit_length < 8:
         raise DomainError(f"bit_length must be >= 8, got {bit_length}")
+    from mpmath import mp, mpf
+
     with mp.workdps(_DPS):
         c = mpf("0.34")
         b = bit_length
@@ -67,6 +76,8 @@ def prime_prior(bit_length: int) -> mpf:
     2/(b ln 2) - 1/((b-1) ln 2)."""
     if bit_length < 8:
         raise DomainError(f"bit_length must be >= 8, got {bit_length}")
+    from mpmath import mp
+
     with mp.workdps(_DPS):
         ln2 = mp.log(2)
         b = bit_length
@@ -92,6 +103,8 @@ class AccuracyReport:
     model: str                  # "composite-given" or "general"
 
     def to_json_dict(self) -> dict:
+        from mpmath import mp
+
         return {"bit_length": self.bit_length, "t": self.t,
                 "threshold_num": self.threshold.numerator,
                 "threshold_den": self.threshold.denominator,
@@ -117,6 +130,8 @@ def _posterior_report(model: str, t: int, threshold, bit_length: int,
         raise DomainError("fraction_A and fraction_B must lie in [0, 1]")
     if fa + fb > 1:
         raise DomainError("fraction_A + fraction_B cannot exceed 1")
+    from mpmath import mp, mpf
+
     with mp.workdps(_DPS):
         fa_m, fb_m, thr_m = _to_mpf(fa), _to_mpf(fb), _to_mpf(thr)
         sigma = mp.sqrt(fa_m * (1 - fa_m) / t)

@@ -13,19 +13,21 @@ throughout.
 
 All real arithmetic here runs at 192-bit precision: the expressions mix
 exponentials of logarithms and lose digits in doubles once n reaches
-RSA-size magnitudes.
+RSA-size magnitudes.  mpmath is imported on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .factoring import Factorization
 from .korselt import is_carmichael
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 _PRECISION_BITS = 192
 DEFAULT_BRACKET_WIDTH = 1e-9
@@ -33,6 +35,8 @@ DEFAULT_BRACKET_WIDTH = 1e-9
 
 def _half_exponent(n: int) -> mpf:
     # k with n**k == 1/2; in (-1, 0) for every n >= 3
+    from mpmath import mp
+
     return -mp.log(2) / mp.log(n)
 
 
@@ -48,6 +52,8 @@ def bound_curve(a, n: int) -> mpf:
     """a^(k+1) - a + 1 for the given n; positive at a = 1, one zero beyond."""
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
+    from mpmath import mp, mpf
+
     with mp.workprec(_PRECISION_BITS):
         point = mpf(a)
         if point < 1:
@@ -70,6 +76,8 @@ class BoundEvaluation:
     root_bracket: tuple[mpf, mpf]
 
     def to_json_dict(self, verdict: str | None = None) -> dict:
+        from mpmath import mp
+
         lo, hi = self.root_bracket
         return {"n": self.n, "k": mp.nstr(self.k, 17), "x1": mp.nstr(self.x1, 17),
                 "x2": mp.nstr(self.x2, 17), "root_lo": mp.nstr(lo, 17),
@@ -85,6 +93,8 @@ def prime_factor_bound(n: int) -> BoundEvaluation:
     """
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
+    from mpmath import mp, mpf
+
     with mp.workprec(_PRECISION_BITS):
         k = _half_exponent(n)
         x1 = 1 + mp.log(n) / mp.log(2)
@@ -110,6 +120,8 @@ def bound_closed_form(n: int) -> mpf:
     """
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
+    from mpmath import mp
+
     with mp.workprec(_PRECISION_BITS):
         log2_n = mp.log(n) / mp.log(2)
         k = -mp.log(2) / mp.log(n)           # log_n(1/2)
@@ -132,6 +144,8 @@ def classify_by_bound(n: int, factorization: Factorization) -> BoundVerdict:
     if not is_carmichael(n, factorization):
         raise DomainError(f"{n} is not a Carmichael number")
     evaluation = prime_factor_bound(n)
+    from mpmath import mp, mpf
+
     with mp.workprec(_PRECISION_BITS):
         if mpf(factorization.smallest_prime) >= evaluation.x2:
             return BoundVerdict.GUARANTEED_BELOW_HALF

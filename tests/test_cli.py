@@ -17,15 +17,38 @@ from carmlab.reproduce import HIGH_WITNESS_CATALOG
 from carmlab.schemas import SCHEMAS
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    # numpy is imported by the functions that use it, on first use, and the
-    # serial sieve needs no process pool
+def run_fresh(code: str) -> str:
     src = str(Path(carmlab.cli.__file__).resolve().parents[1])
-    code = ("import sys; import carmlab.cli; "
-            "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={"PYTHONPATH": src}, timeout=60)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # numpy and mpmath are imported by the functions that use them, on first
+    # use, and the serial sieve needs no process pool
+    assert run_fresh("import sys; import carmlab.cli; print([m for m in "
+                     "('numpy', 'mpmath', 'concurrent.futures') if m in sys.modules])") == "[]"
+
+
+def mpmath_loaded_after(*argvs: str) -> str:
+    # runs each command through main in one fresh interpreter; prints the exit
+    # codes and whether mpmath was imported
+    return run_fresh("import contextlib, io, sys; from carmlab.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    codes = [main(argv.split()) for argv in {argvs!r}]\n"
+                     "print(codes, 'mpmath' in sys.modules)")
+
+
+def test_commands_without_extended_precision_do_not_load_mpmath():
+    argvs = ("census 561 --exact", "enumerate --limit 2000", "classify 561 --t 40",
+             "reproduce --table 2", "schema verdict")
+    assert mpmath_loaded_after(*argvs) == "[0, 0, 0, 0, 0] False"
+
+
+@pytest.mark.parametrize("argv", ["model --bits 64", "bound 561"])
+def test_commands_with_extended_precision_load_mpmath(argv):
+    assert mpmath_loaded_after(argv) == "[0] True"
 
 
 def run(capsys, *argv):
@@ -149,6 +172,11 @@ class TestClassifyCommand:
         first.pop("manifest")
         second.pop("manifest")
         assert first == second
+
+    @pytest.mark.parametrize("n, t", [("1009574349859", 763), ("1009574349860", 764)])
+    def test_default_t_next_to_an_integer(self, capsys, n, t):
+        # (ln n)^2 - 764 is -5.4e-11 and +7.8e-13: both gaps are below 2^-30
+        assert run_json(capsys, "classify", n)["t"] == t
 
     def test_precondition_error(self, capsys):
         code, _, err = run(capsys, "classify", "1")
