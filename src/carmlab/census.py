@@ -5,12 +5,11 @@ count_A counts bases with a^(n-1) == 1 (mod n), count_B the coprime
 Two methods give the same counts, and neither uses the other, so each is
 an oracle for the other.  Brute force, up to a fixed cap, finds the
 residue a^(n-1) mod n and whether gcd(a, n) = 1 for every base without
-factoring n: the map a -> a^(n-1) mod n is completely multiplicative, so
-only prime bases pay a powmod and each composite base takes the product
-of two residues already found, and for odd n the pairing a <-> n - a
-halves the bases evaluated.  The exact census derives the counts from the
-factorization of any n >= 3 by Monier's formula.  Proportions are exact
-rationals with denominator n - 1; decimals appear only at display time.
+factoring n, by one powmod per prime base and, a -> a^(n-1) mod n being
+completely multiplicative, strided sweeps over the sieving primes for the
+composites.  The exact census derives the counts from the factorization
+of any n >= 3 by Monier's formula.  Proportions are exact rationals with
+denominator n - 1; decimals appear only at display time.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from .factoring import Factorization, euler_phi
 if TYPE_CHECKING:
     import numpy as np
 
-# below 2^32, so residues mod n fit uint32 and the uint64 product of two
-# stays exact; its square root is below 2^16, so the factor table fits uint16
+# below 2^32, so residues mod n fit uint32 and the uint64 product of two stays exact
 DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 _CHUNK = 1 << 16
 
@@ -89,14 +87,14 @@ def census_brute_force(n: int) -> WitnessCensus:
     """Exact counts from the residue a^(n-1) mod n of every base 1 <= a < n.
 
     No factorization of n is used, so this census is an oracle apart from
-    census_exact and Monier's formula.  The map a -> a^(n-1) mod n is
-    completely multiplicative, so a composite base a = p * (a / p) gets its
-    residue as the product of two residues already known, and its unit
-    flag gcd(a, n) == 1 as the and of theirs; only a prime base p pays a
-    powmod, and it is a unit exactly when p does not divide n.  For odd n,
-    (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so the bases
-    up to (n - 1) / 2 are evaluated and their counts doubled; an even n
-    evaluates all of them.  The tables take 7 bytes per evaluated base.
+    census_exact and Monier's formula.  As a -> a^(n-1) mod n is completely
+    multiplicative, only prime bases pay a powmod and a composite a takes
+    the product of the residues of its least prime p and of a / p; a base
+    is a unit unless a prime dividing n divides it.  For odd n,
+    (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so only the bases
+    up to (n - 1) / 2 are evaluated, and their counts doubled.  The tables
+    take 6 bytes per evaluated base; the sieve's byte is freed before the
+    residue's 4 and the unit flag's 1 are made.
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
@@ -119,22 +117,23 @@ def census_brute_force(n: int) -> WitnessCensus:
 def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """a^(n-1) mod n and gcd(a, n) == 1 for every base 0 <= a <= top < n.
 
-    factor[a] is a prime p <= sqrt(a) dividing a composite a, and 0 when a
-    is 0, 1 or prime.  The prime bases get their powmods first, _CHUNK at a
-    time; the composites then run in chunks [lo, min(2 lo, lo + _CHUNK)),
-    so every cofactor a / p <= a / 2 lies below lo and is already filled.
+    The prime bases get their powmods _CHUNK at a time.  Each sieving prime
+    p, largest first, then sets residue[p m] = residue[p] residue[m] for
+    m >= p (odd m when p is odd) in sub-ranges [lo, min(p lo, lo + _CHUNK))
+    that keep sources below targets, so a composite is last written at its
+    least prime p, from a cofactor whose least prime is at least p.
     """
     import numpy as np
 
-    factor = np.zeros(top + 1, dtype=np.uint16)
-    for p in range(2, math.isqrt(top) + 1):
-        if factor[p] == 0:
-            factor[p * p::p] = p
+    composite = np.zeros(top + 1, dtype=bool)
+    composite[:2] = composite[4::2] = True
+    for p in range(3, math.isqrt(top) + 1, 2):
+        if not composite[p]:
+            composite[p * p::2 * p] = True
+    primes = np.flatnonzero(~composite)
+    del composite
     residue = np.empty(top + 1, dtype=np.uint32)
-    unit = np.empty(top + 1, dtype=bool)
     residue[:2] = 0, 1
-    unit[:2] = False, True
-    primes = np.flatnonzero(factor[2:] == 0) + 2
     modulus = np.uint64(n)
     for start in range(0, len(primes), _CHUNK):
         batch = primes[start:start + _CHUNK]
@@ -148,25 +147,25 @@ def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
             if e:
                 bases = bases * bases % modulus
         residue[batch] = power
-        unit[batch] = n % batch != 0
-    lo = 4
-    while lo <= top:
-        hi = min(2 * lo, lo + _CHUNK, top + 1)
-        _census_chunk(lo, hi, factor, residue, unit, modulus)
-        lo = hi
+    for p in primes[primes <= math.isqrt(top)][::-1].tolist():
+        lo, end = p, top // p + 1
+        while lo < end:
+            hi = min(p * lo, lo + _CHUNK, end)
+            _census_chunk(p, lo, hi, residue, modulus)
+            lo = hi
+    unit = np.ones(top + 1, dtype=bool)
+    unit[0] = False
+    for p in primes[n % primes == 0].tolist():
+        unit[::p] = False
     return residue, unit
 
 
-def _census_chunk(lo: int, hi: int, factor: np.ndarray, residue: np.ndarray,
-                  unit: np.ndarray, modulus: np.uint64) -> None:
-    """Fill residue and unit for the composite bases lo <= a < hi <= 2 lo."""
+def _census_chunk(p: int, lo: int, hi: int, residue: np.ndarray, modulus: np.uint64) -> None:
+    """Set residue[p * m] for lo <= m < hi, odd m only when p is odd."""
     import numpy as np
 
-    composite = np.flatnonzero(factor[lo:hi]) + lo
-    p = factor[composite].astype(np.intp)
-    cofactor = composite // p
-    residue[composite] = residue[p].astype(np.uint64) * residue[cofactor] % modulus
-    unit[composite] = unit[p] & unit[cofactor]
+    step = 1 if p == 2 else 2
+    residue[p * lo:p * hi:p * step] = residue[lo:hi:step].astype(np.uint64) * residue[p] % modulus
 
 
 def census_exact(n: int, factorization: Factorization) -> WitnessCensus:

@@ -87,10 +87,6 @@ class TestCensusBruteForce:
         # of them in uint64
         assert DEFAULT_BRUTE_FORCE_CAP < 2**32
 
-    def test_cap_keeps_factor_table_in_uint16(self):
-        # the factor table holds a prime p <= sqrt(a) for each composite base a
-        assert math.isqrt(DEFAULT_BRUTE_FORCE_CAP) < 2**16
-
     def test_kernel_residues_and_units_below_600(self):
         for n in range(3, 600):
             residue, unit = _fermat_residues(n, n - 1)
@@ -186,16 +182,30 @@ class TestCensusExact:
                 self.counts(census_brute_force(n)), n
 
     def test_matches_brute_force_around_chunk_edges(self):
-        # chunks of composite bases start at 4 and end at 8, 16, ..., _CHUNK
-        # and then every _CHUNK bases; an even n evaluates bases up to n - 1, an odd n up
-        # to (n - 1) / 2, so both parities cross each edge in one of the
-        # windows, and an even n near 3 * _CHUNK spans several full chunks
+        # the sweep of p = 2 splits its m at 4, 8, ..., 2 * _CHUNK and then
+        # every _CHUNK, so its targets 2 m split at twice those; an even n
+        # evaluates bases up to n - 1 and an odd n up to (n - 1) / 2, so both
+        # parities reach each split in one of the windows, and an even n near
+        # 6 * _CHUNK crosses a split made by the _CHUNK bound (a second batch
+        # of _CHUNK prime powmods needs top >= 821647, tested at large n below)
         edges = [2**k for k in range(2, _CHUNK.bit_length())] + [2 * _CHUNK, 3 * _CHUNK]
         for edge in edges:
             for n in sorted({*range(edge - 40, edge + 41), *range(2 * edge - 40, 2 * edge + 41)}):
                 if n >= 3:
                     assert self.counts(census_exact(n, factorize(n))) == \
                         self.counts(census_brute_force(n)), n
+
+    def test_matches_brute_force_where_the_sweep_changes_shape(self):
+        # a sieving prime q joins the sweep at top = q^2, and the sweep of p
+        # splits its m at the powers of p; an odd n evaluates the bases up to
+        # top = (n - 1) / 2 and an even n those up to top = n - 1
+        tops = {q * q + d for q in primes_up_to(31) for d in (-1, 0, 1)}
+        tops |= {p**j + d for p in (2, 3, 5, 7) for j in range(1, 18) if p**j <= 2**17
+                 for d in range(-3, 4)}
+        ns = {2 * top + 1 for top in tops} | {top + 1 for top in tops if top % 2}
+        for n in sorted(n for n in ns if n >= 3):
+            assert self.counts(census_exact(n, factorize(n))) == \
+                self.counts(census_brute_force(n)), n
 
     # the four Carmichael numbers of the benchmark band, the largest odd n
     # under the cap, and the largest Carmichael number below 10^7; each
