@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, DomainError
-from .factoring import Factorization, euler_phi
+from .factoring import Factorization, euler_phi, primes_up_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,8 +93,8 @@ def census_brute_force(n: int) -> WitnessCensus:
     is a unit unless a prime dividing n divides it.  For odd n,
     (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so only the bases
     up to (n - 1) / 2 are evaluated, and their counts doubled.  The tables
-    take 6 bytes per evaluated base; the sieve's byte is freed before the
-    residue's 4 and the unit flag's 1 are made.
+    take 6 bytes per evaluated base; the byte of primes_up_to's sieve flags
+    is freed before the residue's 4 and the unit flag's 1 are made.
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
@@ -117,21 +117,17 @@ def census_brute_force(n: int) -> WitnessCensus:
 def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """a^(n-1) mod n and gcd(a, n) == 1 for every base 0 <= a <= top < n.
 
-    The prime bases get their powmods _CHUNK at a time.  Each sieving prime
-    p, largest first, then sets residue[p m] = residue[p] residue[m] for
-    m >= p (odd m when p is odd) in sub-ranges [lo, min(p lo, lo + _CHUNK))
-    that keep sources below targets, so a composite is last written at its
-    least prime p, from a cofactor whose least prime is at least p.
+    The primes up to top come from primes_up_to, whose sieve flags are
+    freed when it returns, and get their powmods _CHUNK at a time.  Each
+    sieving prime p, largest first, then sets residue[p m] = residue[p]
+    residue[m] for m >= p (odd m when p is odd) in sub-ranges
+    [lo, min(p lo, lo + _CHUNK)) that keep sources below targets, so a
+    composite is last written at its least prime p, from a cofactor whose
+    least prime is at least p.
     """
     import numpy as np
 
-    composite = np.zeros(top + 1, dtype=bool)
-    composite[:2] = composite[4::2] = True
-    for p in range(3, math.isqrt(top) + 1, 2):
-        if not composite[p]:
-            composite[p * p::2 * p] = True
-    primes = np.flatnonzero(~composite)
-    del composite
+    primes = primes_up_to(top)
     residue = np.empty(top + 1, dtype=np.uint32)
     residue[:2] = 0, 1
     modulus = np.uint64(n)

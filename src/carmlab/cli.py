@@ -68,6 +68,10 @@ def _parse_int(text: str) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
     if abs(value) > _FLOAT_INT_LIMIT:
+        digits = s.lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
+            # written out, but too long for int(): at least 10^4300 > 2^14000
+            raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
         raise argparse.ArgumentTypeError(
             f"{text!r} exceeds exact float range; write the integer out")
     if value != int(value):

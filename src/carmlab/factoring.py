@@ -13,9 +13,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, FactorizationError
 from .randutil import uniform_below
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The first twelve primes witness correctly for every n below this bound
 # (well past 2^64).
@@ -24,25 +28,25 @@ _FIXED_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _EXTRA_ROUNDS = 64  # error < 4**-64 past the deterministic bound
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a sieve over a numpy bool array."""
-    if limit < 2:
-        return []
+def primes_up_to(limit: int) -> np.ndarray:
+    """All primes <= limit as an ascending int64 array, empty for limit < 2.
+
+    A numpy bool sieve that strikes the even numbers once and then, for
+    each odd prime p <= sqrt(limit), only the odd multiples from p^2."""
     import numpy as np
 
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.flatnonzero(sieve).tolist()
+    limit = max(limit, 1)  # a limit below 2 sieves [0, 1] and finds no prime
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = composite[4::2] = True
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if not composite[p]:
+            composite[p * p::2 * p] = True
+    return np.flatnonzero(~composite)
 
 
 def _small_primes(limit: int) -> tuple[int, ...]:
     """All primes <= limit by a bytearray sieve, so that importing the
-    package does not load numpy. primes_up_to keeps its numpy sieve: at
-    the Korselt sieve's limits near 10^4 it is 2.5 times faster than this
-    one, and a sieve tile about 5% faster (BENCH_17.json)."""
+    package does not load numpy; the tests also hold primes_up_to to it."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
@@ -73,7 +77,6 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimalityCheck:
-    n: int
     is_prime: bool
     probabilistic: bool  # True only for prime verdicts above the witness bound
 
@@ -88,25 +91,25 @@ def prime_check(n: int) -> PrimalityCheck:
     if n < 0:
         raise DomainError(f"primality is defined for n >= 0, got {n}")
     if n < 2:
-        return PrimalityCheck(n, False, False)
+        return PrimalityCheck(False, False)
     for p in _SMALL_PRIMES:
         if n % p == 0:
-            return PrimalityCheck(n, n == p, False)
+            return PrimalityCheck(n == p, False)
         if p * p > n:
             break
     if n < _TRIAL_COMPLETE_BOUND:
-        return PrimalityCheck(n, True, False)
+        return PrimalityCheck(True, False)
     for base in _FIXED_WITNESSES:
         if not _strong_probable_prime(n, base):
-            return PrimalityCheck(n, False, False)
+            return PrimalityCheck(False, False)
     if n < DETERMINISTIC_WITNESS_BOUND:
-        return PrimalityCheck(n, True, False)
+        return PrimalityCheck(True, False)
     rng = random.Random(n ^ 0xD1B54A32D192ED03)
     for _ in range(_EXTRA_ROUNDS):
         base = 2 + uniform_below(rng, n - 3)
         if not _strong_probable_prime(n, base):
-            return PrimalityCheck(n, False, False)
-    return PrimalityCheck(n, True, True)
+            return PrimalityCheck(False, False)
+    return PrimalityCheck(True, True)
 
 
 def is_prime(n: int) -> bool:

@@ -117,9 +117,7 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
         return []
     if lo % 2 == 0:
         lo += 1
-    import numpy as np
-
-    primes = np.array(primes_up_to(math.isqrt(hi))[1:], dtype=np.int64)  # odd primes
+    primes = primes_up_to(math.isqrt(hi))[1:]  # odd primes
     found: list[int] = []
     for block_lo in range(lo, hi + 1, 2 * _BLOCK_ODDS):
         block_hi = min(block_lo + 2 * (_BLOCK_ODDS - 1), hi)

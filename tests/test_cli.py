@@ -409,6 +409,17 @@ class TestIntegerParsing:
             main(["census", "2**100000"])
         assert exit_info.value.code == EXIT_USAGE
 
+    def test_too_long_decimal_exceeds_bits(self, capsys):
+        # int() refuses a decimal past 4,300 digits; it still spells an integer
+        for text in ("7" * 4400, "-" + "7" * 4400, "7_" * 4400 + "7"):
+            with pytest.raises(argparse.ArgumentTypeError, match="14000 bits"):
+                _parse_int(text)
+        assert _parse_int("0" * 4400 + "7") == 7
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", "7" * 4400])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "exceeds 14000 bits" in capsys.readouterr().err
+
     def test_largest_accepted_power_prints(self, capsys):
         # str() of an int is limited to 4,300 digits
         largest = _parse_int(f"2**{_MAX_INPUT_BITS - 1}")

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from carmlab.errors import DomainError, FactorizationError
 from carmlab.factoring import (DETERMINISTIC_WITNESS_BOUND, FactorBudget,
                                Factorization, euler_phi, factorize, is_prime,
-                               prime_check, primes_up_to)
+                               _small_primes, prime_check, primes_up_to)
 
 
 def trial_factorize(n):
@@ -160,8 +161,23 @@ class TestPrimality:
 
 class TestPrimesUpTo:
     def test_small(self):
-        assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-        assert primes_up_to(1) == []
+        assert primes_up_to(20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert primes_up_to(1).tolist() == []
 
     def test_counts(self):
         assert len(primes_up_to(10**5)) == 9592
+
+    def test_empty_below_two_and_int64(self):
+        for limit in (-5, -1, 0, 1):
+            primes = primes_up_to(limit)
+            assert primes.dtype == np.int64 and primes.size == 0, limit
+        assert primes_up_to(10**4).dtype == np.int64
+
+    def test_matches_bytearray_sieve(self):
+        # the odd-only numpy sieve starts each odd prime q's strike at q^2
+        oracle = _small_primes(10**6)
+        limits = set(range(3000)) | {10**6}
+        limits |= {q * q + d for q in _small_primes(1000) for d in (-1, 0, 1)}
+        for limit in sorted(limits):
+            expected = oracle[:bisect.bisect_right(oracle, limit)]
+            assert primes_up_to(limit).tolist() == list(expected), limit
