@@ -4,7 +4,7 @@ count_A counts bases with a^(n-1) == 1 (mod n), count_B the coprime
 ("non-trivial") witnesses, count_C the witnesses sharing a factor with n.
 Two methods give the same counts, and neither uses the other, so each is
 an oracle for the other.  Brute force, up to a fixed cap, finds the
-residue a^(n-1) mod n and whether gcd(a, n) = 1 for every base without
+residue a^(n-1) mod n of every base, 0 when gcd(a, n) > 1, without
 factoring n, by one powmod per prime base and, a -> a^(n-1) mod n being
 completely multiplicative, strided sweeps over the sieving primes for the
 composites.  The exact census derives the counts from the factorization
@@ -89,12 +89,12 @@ def census_brute_force(n: int) -> WitnessCensus:
     No factorization of n is used, so this census is an oracle apart from
     census_exact and Monier's formula.  As a -> a^(n-1) mod n is completely
     multiplicative, only prime bases pay a powmod and a composite a takes
-    the product of the residues of its least prime p and of a / p; a base
-    is a unit unless a prime dividing n divides it.  For odd n,
+    the product of the residues of its least prime p and of a / p; a prime
+    dividing n reads 0, and so do its multiples.  For odd n,
     (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so only the bases
     up to (n - 1) / 2 are evaluated, and their counts doubled.  The tables
-    take 6 bytes per evaluated base; the byte of primes_up_to's sieve flags
-    is freed before the residue's 4 and the unit flag's 1 are made.
+    take 5 bytes per evaluated base; the byte of primes_up_to's sieve flags
+    is freed before the residue's 4 are made.
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
@@ -105,25 +105,26 @@ def census_brute_force(n: int) -> WitnessCensus:
     import numpy as np
 
     top = n - 1 if n % 2 == 0 else (n - 1) // 2
-    residue, unit = _fermat_residues(n, top)
+    residue = _fermat_residues(n, top)
     count_a = int(np.count_nonzero(residue == 1))
-    count_c = top - int(np.count_nonzero(unit))  # unit[0] is False
+    count_c = int(np.count_nonzero(residue == 0)) - 1  # residue[0] is 0
     if n % 2:
         count_a, count_c = 2 * count_a, 2 * count_c
     return WitnessCensus(n, count_a, n - 1 - count_a - count_c, count_c,
                          CensusMethod.BRUTE_FORCE)
 
 
-def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """a^(n-1) mod n and gcd(a, n) == 1 for every base 0 <= a <= top < n.
+def _fermat_residues(n: int, top: int) -> np.ndarray:
+    """a^(n-1) mod n if gcd(a, n) = 1, else 0, for every base 0 <= a <= top < n.
 
     The primes up to top come from primes_up_to, whose sieve flags are
-    freed when it returns, and get their powmods _CHUNK at a time.  Each
-    sieving prime p, largest first, then sets residue[p m] = residue[p]
-    residue[m] for m >= p (odd m when p is odd) in sub-ranges
-    [lo, min(p lo, lo + _CHUNK)) that keep sources below targets, so a
-    composite is last written at its least prime p, from a cofactor whose
-    least prime is at least p.
+    freed when it returns, and get their powmods _CHUNK at a time; a prime
+    dividing n then gets residue 0.  Each sieving prime p, largest first,
+    sets residue[p m] = residue[p] residue[m] for m >= p (odd m when p is
+    odd) in sub-ranges [lo, min(p lo, lo + _CHUNK)) that keep sources below
+    targets, so a composite is last written at its least prime p, from a
+    cofactor whose least prime is at least p and whose residue is final;
+    a unit's residue is a unit mod n, so never 0.
     """
     import numpy as np
 
@@ -143,17 +144,14 @@ def _fermat_residues(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
             if e:
                 bases = bases * bases % modulus
         residue[batch] = power
+    residue[primes[n % primes == 0]] = 0
     for p in primes[primes <= math.isqrt(top)][::-1].tolist():
         lo, end = p, top // p + 1
         while lo < end:
             hi = min(p * lo, lo + _CHUNK, end)
             _census_chunk(p, lo, hi, residue, modulus)
             lo = hi
-    unit = np.ones(top + 1, dtype=bool)
-    unit[0] = False
-    for p in primes[n % primes == 0].tolist():
-        unit[::p] = False
-    return residue, unit
+    return residue
 
 
 def _census_chunk(p: int, lo: int, hi: int, residue: np.ndarray, modulus: np.uint64) -> None:

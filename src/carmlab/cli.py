@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -38,7 +39,6 @@ from .reproduce import (bound_curve_series, reproduce_fermat_table,
 from .schemas import SCHEMAS
 
 EXIT_OK = 0
-EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
@@ -50,7 +50,8 @@ _MAX_INPUT_BITS = 14_000
 
 def _parse_int(text: str) -> int:
     """Sizes accept 10000000, 10_000_000, 10**7, and 1e7."""
-    s = text.strip().replace(",", "_")
+    # leading zeros count toward int()'s 4,300-digit limit, not the value
+    s = re.sub(r"^([+-]?)0+(?=\d)", r"\1", text.strip().replace(",", "_"))
     try:
         return int(s)
     except ValueError:

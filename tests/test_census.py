@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,10 +89,24 @@ class TestCensusBruteForce:
         assert DEFAULT_BRUTE_FORCE_CAP < 2**32
 
     def test_kernel_residues_and_units_below_600(self):
+        # a base sharing a factor with n reads 0, the residue of no unit, so the zeros
+        # are the non-units
         for n in range(3, 600):
-            residue, unit = _fermat_residues(n, n - 1)
-            assert residue[1:].tolist() == [pow(a, n - 1, n) for a in range(1, n)], n
-            assert unit[1:].tolist() == [math.gcd(a, n) == 1 for a in range(1, n)], n
+            residue = _fermat_residues(n, n - 1)
+            assert residue[1:].tolist() == [pow(a, n - 1, n) if math.gcd(a, n) == 1 else 0
+                                            for a in range(1, n)], n
+
+    def test_peak_memory_per_evaluated_base(self):
+        # the 4-byte residue is the one table left once the sieve flags are freed
+        n = 9_999_991
+        census_brute_force(n)
+        tracemalloc.start()
+        try:
+            census_brute_force(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / ((n - 1) // 2) < 5.5
 
     def test_factors_nothing(self):
         # it stays an oracle for census_exact only while it never factors n
@@ -209,8 +224,11 @@ class TestCensusExact:
 
     # the four Carmichael numbers of the benchmark band, the largest odd n
     # under the cap, and the largest Carmichael number below 10^7; each
-    # has more than _CHUNK prime bases, so its powmods run in several batches
-    @pytest.mark.parametrize("n", [2433601, 2455921, 2508013, 2531845, 10**7 - 1, 9890881])
+    # has more than _CHUNK prime bases, so its powmods run in several batches.
+    # Then prime powers and products of squares, whose zeros the sweep
+    # carries deep, and even n, which evaluate all n - 1 bases
+    @pytest.mark.parametrize("n", [2433601, 2455921, 2508013, 2531845, 10**7 - 1, 9890881,
+                                   3**14, 7**8, 2**23, 9 * 25 * 49 * 121, 2 * 3**13, 10**7])
     def test_matches_brute_force_at_large_n(self, n):
         assert self.counts(census_exact(n, factorize(n))) == self.counts(census_brute_force(n))
 

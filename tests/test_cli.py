@@ -415,6 +415,12 @@ class TestIntegerParsing:
             with pytest.raises(argparse.ArgumentTypeError, match="14000 bits"):
                 _parse_int(text)
         assert _parse_int("0" * 4400 + "7") == 7
+        # padded past that limit, a value above 2^53 still parses exactly
+        assert _parse_int("0" * 4400 + "9007199254740993") == 9007199254740993
+        assert _parse_int("-" + "0" * 4400 + "9007199254740993") == -9007199254740993
+        for text in ("_1", "1.5", "0x10"):
+            with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+                _parse_int(text)
         with pytest.raises(SystemExit) as exit_info:
             main(["census", "7" * 4400])
         assert exit_info.value.code == EXIT_USAGE
