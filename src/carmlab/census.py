@@ -92,9 +92,9 @@ def census_brute_force(n: int) -> WitnessCensus:
     the product of the residues of its least prime p and of a / p; a prime
     dividing n reads 0, and so do its multiples.  For odd n,
     (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so only the bases
-    up to (n - 1) / 2 are evaluated, and their counts doubled.  The tables
-    take 5 bytes per evaluated base; the byte of primes_up_to's sieve flags
-    is freed before the residue's 4 are made.
+    up to (n - 1) / 2 are evaluated, and their counts doubled.  The one
+    table, the residue, takes 4 bytes per evaluated base; primes_up_to's
+    sieve flags, half a byte per base, are freed before it is made.
     """
     if n < 3:
         raise DomainError(f"census needs n >= 3, got {n}")
@@ -117,9 +117,10 @@ def census_brute_force(n: int) -> WitnessCensus:
 def _fermat_residues(n: int, top: int) -> np.ndarray:
     """a^(n-1) mod n if gcd(a, n) = 1, else 0, for every base 0 <= a <= top < n.
 
-    The primes up to top come from primes_up_to, whose sieve flags are
-    freed when it returns, and get their powmods _CHUNK at a time; a prime
-    dividing n then gets residue 0.  Each sieving prime p, largest first,
+    The primes up to top come from primes_up_to, whose odd-only sieve
+    flags are freed when it returns, and get their powmods _CHUNK at a
+    time, each product reduced in place by _reduce; a prime dividing n
+    then gets residue 0.  Each sieving prime p, largest first,
     sets residue[p m] = residue[p] residue[m] for m >= p (odd m when p is
     odd) in sub-ranges [lo, min(p lo, lo + _CHUNK)) that keep sources below
     targets, so a composite is last written at its least prime p, from a
@@ -139,10 +140,12 @@ def _fermat_residues(n: int, top: int) -> np.ndarray:
         e = n - 1
         while e:
             if e & 1:
-                power = power * bases % modulus
+                power *= bases
+                _reduce(power, modulus)
             e >>= 1
             if e:
-                bases = bases * bases % modulus
+                bases *= bases
+                _reduce(bases, modulus)
         residue[batch] = power
     residue[primes[n % primes == 0]] = 0
     for p in primes[primes <= math.isqrt(top)][::-1].tolist():
@@ -159,7 +162,19 @@ def _census_chunk(p: int, lo: int, hi: int, residue: np.ndarray, modulus: np.uin
     import numpy as np
 
     step = 1 if p == 2 else 2
-    residue[p * lo:p * hi:p * step] = residue[lo:hi:step].astype(np.uint64) * residue[p] % modulus
+    product = residue[lo:hi:step].astype(np.uint64)
+    product *= residue[p]
+    _reduce(product, modulus)
+    residue[p * lo:p * hi:p * step] = product
+
+
+def _reduce(x: np.ndarray, modulus: np.uint64) -> None:
+    """x %= modulus in place for uint64 x, by numpy's division by an
+    invariant scalar, which uint64 % does not take; the quotient is the
+    one temporary."""
+    quotient = x // modulus
+    quotient *= modulus
+    x -= quotient
 
 
 def census_exact(n: int, factorization: Factorization) -> WitnessCensus:

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -95,6 +96,32 @@ class TestCensusBruteForce:
             residue = _fermat_residues(n, n - 1)
             assert residue[1:].tolist() == [pow(a, n - 1, n) if math.gcd(a, n) == 1 else 0
                                             for a in range(1, n)], n
+
+    # where the uint64 products come closest to 2^47 (the largest n under the
+    # cap, odd and even), a power of two plus one, and a Carmichael number of
+    # the benchmark band, whose zeros the sweep carries
+    @pytest.mark.parametrize("n", [9_999_991, 10**7, 2**23 + 1, 2433601])
+    def test_kernel_residues_on_sampled_bases_at_large_n(self, n):
+        top = n - 1 if n % 2 == 0 else (n - 1) // 2
+        residue = _fermat_residues(n, top)
+        rng = random.Random(n)
+        bases = [rng.randint(1, top) for _ in range(2000)]
+        assert [int(residue[a]) for a in bases] == \
+            [pow(a, n - 1, n) if math.gcd(a, n) == 1 else 0 for a in bases]
+
+    def test_peak_memory_where_the_prime_powmods_set_it(self):
+        # at this n the peak falls in the prime powmods: the residue, the primes
+        # and three uint64 arrays of _CHUNK primes (6.20 bytes per base); an
+        # out-of-place reduction keeps a fourth alive (6.73)
+        n = 2_000_001
+        census_brute_force(n)
+        tracemalloc.start()
+        try:
+            census_brute_force(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / ((n - 1) // 2) < 6.5
 
     def test_peak_memory_per_evaluated_base(self):
         # the 4-byte residue is the one table left once the sieve flags are freed
