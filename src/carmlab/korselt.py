@@ -11,6 +11,7 @@ the sieve strides along these classes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,7 @@ DEFAULT_ENUMERATION_CAP = 100_000_000
 # every int64 value and product in a block stays exact.
 SIEVE_HI_CAP = 10**14
 _BLOCK_ODDS = 1 << 19  # odd candidates per sieve block
+_PRESIEVE_PRIMES = 5  # 3, 5, 7, 11 and 13: struck once per 30,030-slot period
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ def is_carmichael(n: int, factorization: Factorization | None = None) -> Carmich
     Without a factorization, n is factored under the default budget.
     Primes and 1 yield a falsy certificate (not composite).
     """
+    n = _integer("n", n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if factorization is None:
@@ -80,6 +83,7 @@ def chernick(m: int) -> int | None:
     Any such product is Carmichael, so scanning m is a cheap generator of
     examples; absence (a composite factor) is expected, not an error.
     """
+    m = _integer("m", m)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     parts = (6 * m + 1, 12 * m + 1, 18 * m + 1)
@@ -98,6 +102,7 @@ def enumerate_carmichael(limit: int) -> list[int]:
     DEFAULT_ENUMERATION_CAP raises CapExceededError;
     enumerate_carmichael_range(3, limit) runs the same sieve past it.
     """
+    limit = _integer("limit", limit)
     if limit < 0:
         raise DomainError(f"limit must be non-negative, got {limit}")
     if limit > DEFAULT_ENUMERATION_CAP:
@@ -110,6 +115,7 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
     """Carmichael numbers in [lo, hi]; windows that tile a range give its
     list when their results are concatenated in order.  hi above
     SIEVE_HI_CAP raises CapExceededError before anything is allocated."""
+    lo, hi = _integer("lo", lo), _integer("hi", hi)
     if hi > SIEVE_HI_CAP:
         raise CapExceededError(f"hi {hi} exceeds the sieve cap {SIEVE_HI_CAP}")
     lo = max(lo, 3)
@@ -127,6 +133,14 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
     return found
 
 
+def _integer(name: str, value) -> int:
+    """value as an int (numpy integers included); DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     """Korselt scan of the odd values in [lo, hi]; primes is an ascending
     int64 array of the odd primes up to at least sqrt(hi).
@@ -136,12 +150,20 @@ def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     that Pinch's counts rest on (Pinch, "The Carmichael numbers up to
     10^21", 2007). Each sieving prime multiplies itself into found on the
     slots of that class, which lie p(p - 1)/2 apart from the slot of
-    (p - lo) mod p(p - 1); a prime p >= lo starts at p^2 instead, the next
-    member of its class, so that no p is recorded on n = p. Primes whose
-    class recurs within the block store with one strided multiply each; a
-    larger prime touches at most one slot, so all of them are recorded at
-    once by one numpy expression: the bucket idea of segmented sieves
-    (T. Oliveira e Silva) applied to Korselt's classes.
+    (p - lo) mod p(p - 1). No p may be recorded on n = p, so a strided
+    prime p >= lo starts at p^2 instead, the next member of its class.
+
+    The primes 3 to 13 are pre-sieved, as segmented prime sieves do: their
+    strides 3, 10, 21, 55 and 78 repeat together every lcm = 30,030 slots,
+    so one period is struck from each class's first slot and copied across
+    the block. That pattern holds p on the slot of n = p for p >= lo, which
+    is divided back out after the copy. The pre-sieve stops at 13 because
+    17 (stride 136) would make the period 2,042,040 slots, more than a
+    block. Primes from 17 whose class recurs within the block store with
+    one strided multiply each; a larger prime touches at most one slot, so
+    all of them are recorded at once by one numpy expression: the bucket
+    idea of segmented sieves (T. Oliveira e Silva) applied to Korselt's
+    classes.
 
     A value is kept exactly when found equals n. Every recorded p divides
     n, passes (p - 1) | (n - 1) and is less than n, so found = n makes n a
@@ -153,13 +175,22 @@ def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:
     import numpy as np
 
     count = (hi - lo) // 2 + 1
-    found = np.ones(count, dtype=np.int64)  # product of the recorded primes
     primes = primes[:np.searchsorted(primes, math.isqrt(hi), side="right")]
     stride = primes * (primes - 1) // 2
     start = np.where(primes < lo, (primes - lo) % (2 * stride), primes * primes - lo) // 2
     small = np.searchsorted(stride, count)
-    for p, first, step in zip(primes[:small].tolist(), start[:small].tolist(),
-                              stride[:small].tolist()):
+    w = min(_PRESIEVE_PRIMES, small)
+    pre_primes, pre_steps = primes[:w].tolist(), stride[:w].tolist()
+    # product of the recorded primes, first over one period of the pre-sieve
+    found = np.ones(min(math.lcm(*pre_steps), count), dtype=np.int64)
+    for p, step in zip(pre_primes, pre_steps):
+        found[(p - lo) % (2 * step) // 2::step] *= p
+    found = np.resize(found, count)
+    for p in pre_primes:
+        if p >= lo:
+            found[(p - lo) // 2] //= p  # the class from p itself holds n = p
+    for p, first, step in zip(primes[w:small].tolist(), start[w:small].tolist(),
+                              stride[w:small].tolist()):
         found[first::step] *= p
     hit = start[small:] < count
     np.multiply.at(found, start[small:][hit], primes[small:][hit])  # .at: slots can repeat
