@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .census import census_exact
 from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, integer
 from .factoring import Factorization
 
 if TYPE_CHECKING:
@@ -60,8 +60,7 @@ def carmichael_prior(bit_length: int) -> mpf:
     """Density of Carmichael numbers among b-bit integers under the x^0.34
     growth model: ((2^b)^0.34 - (2^(b-1))^0.34) / 2^(b-1), evaluated in
     exponent space so no intermediate overflows."""
-    if bit_length < 8:
-        raise DomainError(f"bit_length must be >= 8, got {bit_length}")
+    bit_length = integer("bit_length", bit_length, 8)
     from mpmath import mp, mpf
 
     with mp.workdps(_DPS):
@@ -74,8 +73,7 @@ def prime_prior(bit_length: int) -> mpf:
     """Density of primes among b-bit integers from the 1/ln x law:
     (2^b/ln(2^b) - 2^(b-1)/ln(2^(b-1))) / 2^(b-1), simplified to
     2/(b ln 2) - 1/((b-1) ln 2)."""
-    if bit_length < 8:
-        raise DomainError(f"bit_length must be >= 8, got {bit_length}")
+    bit_length = integer("bit_length", bit_length, 8)
     from mpmath import mp
 
     with mp.workdps(_DPS):
@@ -123,7 +121,8 @@ class AccuracyReport:
 
 def _posterior_report(model: str, t: int, threshold, bit_length: int,
                       fraction_A, fraction_B) -> AccuracyReport:
-    thr = DetectorConfig(t_override=t, threshold=threshold).threshold
+    t, bit_length = integer("t", t, 1), integer("bit_length", bit_length, 8)
+    thr = DetectorConfig(threshold=threshold).threshold
     fa = Fraction(1, 2) if fraction_A is None else Fraction(fraction_A)
     fb = Fraction(1, 2) if fraction_B is None else Fraction(fraction_B)
     if not (0 <= fa <= 1 and 0 <= fb <= 1):
@@ -214,10 +213,7 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     census mean and the model standard deviation for comparison. More than
     HISTOGRAM_DRAW_CAP draws in all raise CapExceededError.
     """
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    n, trials, seed = integer("n", n, 3), integer("trials", trials, 1), integer("seed", seed)
     t = DetectorConfig(t_override=t).sample_size(n)
     if t * trials > HISTOGRAM_DRAW_CAP:
         raise CapExceededError(f"t * trials = {t * trials} draws exceeds the cap of "
@@ -250,6 +246,7 @@ def binomial_tail_exact(threshold, t: int, witness_fraction) -> Fraction:
     Companion to the normal approximation so the approximation error is
     itself measurable; integer arithmetic keeps it exact up to t = 10^4.
     """
+    t = integer("t", t)
     if not 1 <= t <= _EXACT_TAIL_MAX_T:
         raise DomainError(f"exact tail supports 1 <= t <= {_EXACT_TAIL_MAX_T}, got {t}")
     w = Fraction(witness_fraction)

@@ -7,7 +7,7 @@ in doubles.  mpmath is imported on first use.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import integer
 
 # bits of slack between the accepted gap and the rounding error of (ln n)^2
 _SLACK_BITS = 30
@@ -26,8 +26,7 @@ def natural_log_squared_floor(n: int) -> int:
     halves with each bit of precision, so escalation stops once the margin
     falls below the true gap.  The hard cap below is pure paranoia.
     """
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
+    n = integer("n", n, 3)
     from mpmath import mp
 
     precision = 96

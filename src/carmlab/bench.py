@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .detector import DetectorConfig, detect_carmichael_general
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, integer
 from .factoring import is_prime
 
 DEFAULT_BIT_LENGTHS = (64, 128, 256, 512, 1024)
@@ -74,8 +74,7 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 def composite_for_bits(bits: int, seed: int = 0) -> int:
     """Deterministic semiprime of (approximately) the requested bit length."""
-    if bits < 8:
-        raise DomainError(f"bits must be >= 8, got {bits}")
+    bits, seed = integer("bits", bits, 8), integer("seed", seed)
     rng = random.Random((seed << 16) ^ bits)
     half = bits // 2
     return _random_prime(half, rng) * _random_prime(bits - half, rng)
@@ -101,8 +100,9 @@ def run_benchmark(bit_lengths: tuple[int, ...] = DEFAULT_BIT_LENGTHS, t: int = 1
     """Time the classifier across bit lengths and fit the log-log slope."""
     if len(bit_lengths) < 2:
         raise DomainError("need at least two bit lengths to fit a slope")
-    if t < 1 or repeats < 1:
-        raise DomainError("t and repeats must be >= 1")
+    bit_lengths = [integer("bits", bits, 8) for bits in bit_lengths]
+    t, repeats = integer("t", t, 1), integer("repeats", repeats, 1)
+    seed = integer("seed", seed)
     if max(bit_lengths) > MAX_BENCH_BITS:
         raise CapExceededError(f"bit length {max(bit_lengths)} exceeds the bench cap "
                                f"{MAX_BENCH_BITS}")

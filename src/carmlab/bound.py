@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .factoring import Factorization
 from .korselt import is_carmichael
 
@@ -50,8 +50,7 @@ def _slope(a: mpf, k: mpf) -> mpf:
 
 def bound_curve(a, n: int) -> mpf:
     """a^(k+1) - a + 1 for the given n; positive at a = 1, one zero beyond."""
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
+    n = integer("n", n, 3)
     from mpmath import mp, mpf
 
     with mp.workprec(_PRECISION_BITS):
@@ -91,8 +90,7 @@ def prime_factor_bound(n: int) -> BoundEvaluation:
     x2 = x1 - g(x1)/g'(x1).  Bisection of [1, x1] verifies that the zero
     sits below x2, down to a bracket width of DEFAULT_BRACKET_WIDTH.
     """
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
+    n = integer("n", n, 3)
     from mpmath import mp, mpf
 
     with mp.workprec(_PRECISION_BITS):
@@ -118,8 +116,7 @@ def bound_closed_form(n: int) -> mpf:
     Kept as an independent spelling (no shared Newton code) so the two
     routes can cross-check each other.
     """
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
+    n = integer("n", n, 3)
     from mpmath import mp
 
     with mp.workprec(_PRECISION_BITS):

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, integer
 from .factoring import Factorization, euler_phi, primes_up_to
 
 if TYPE_CHECKING:
@@ -44,8 +44,7 @@ class WitnessKind(Enum):
 
 def classify_witness(a: int, n: int) -> WitnessKind:
     """Three-way Fermat classification of a single base a against n."""
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
+    n, a = integer("n", n, 3), integer("a", a)
     if not 1 <= a <= n - 1:
         raise DomainError(f"a must lie in [1, {n - 1}], got {a}")
     if math.gcd(a, n) > 1:
@@ -96,8 +95,7 @@ def census_brute_force(n: int) -> WitnessCensus:
     table, the residue, takes 4 bytes per evaluated base; primes_up_to's
     sieve flags, half a byte per base, are freed before it is made.
     """
-    if n < 3:
-        raise DomainError(f"census needs n >= 3, got {n}")
+    n = integer("n", n, 3)
     if n > DEFAULT_BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"n = {n} exceeds the brute-force cap {DEFAULT_BRUTE_FORCE_CAP}; "
@@ -186,8 +184,7 @@ def census_exact(n: int, factorization: Factorization) -> WitnessCensus:
     coprime witnesses are the rest, count_B = phi(n) - count_A.  For a
     prime or a Carmichael number count_A = phi(n) and count_B = 0.
     """
-    if n < 3:
-        raise DomainError(f"census needs n >= 3, got {n}")
+    n = integer("n", n, 3)
     if factorization.subject != n:
         raise DomainError("factorization does not describe n")
     count_a = math.prod(math.gcd(n - 1, p - 1) for p in factorization.primes)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 import re
 from collections.abc import Iterator
@@ -46,7 +45,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import natural_log_squared_floor
-from .errors import DomainError
+from .errors import DomainError, integer
 from .factoring import PrimalityCheck, prime_check
 from .randutil import uniform_below
 
@@ -88,6 +87,7 @@ class Basis(Enum):
 
 def default_sample_size(n: int) -> int:
     """floor((ln n)^2) for n >= 3, which is at least 1; one draw below 3."""
+    n = integer("n", n)
     if n < 3:
         return 1
     return natural_log_squared_floor(n)
@@ -104,13 +104,8 @@ class DetectorConfig:
 
     def __post_init__(self):
         if self.t_override is not None:
-            try:
-                t = operator.index(self.t_override)
-            except TypeError:
-                raise DomainError(f"t must be an integer, got {self.t_override!r}") from None
-            if t < 1:
-                raise DomainError(f"t must be >= 1, got {t}")
-            object.__setattr__(self, "t_override", t)
+            object.__setattr__(self, "t_override", integer("t", self.t_override, 1))
+        object.__setattr__(self, "rng_seed", integer("seed", self.rng_seed))
         try:
             threshold = Fraction(self.threshold)
         except (TypeError, ValueError, OverflowError):
@@ -360,8 +355,7 @@ def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verd
     share is under the threshold, else OtherComposite if a sampled witness
     is coprime to n, else Carmichael.
     """
-    if n < 2:
-        raise DomainError(f"classification needs n >= 2, got {n}")
+    n = integer("n", n, 2)
     cfg = cfg or DetectorConfig()
     check = prime_check(n)
     t = cfg.sample_size(n)

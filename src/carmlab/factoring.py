@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, FactorizationError
+from .errors import DomainError, FactorizationError, integer
 from .randutil import uniform_below
 
 if TYPE_CHECKING:
@@ -37,6 +37,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     entry in the result becomes 2."""
     import numpy as np
 
+    limit = integer("limit", limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     odd = np.ones((limit + 1) // 2, dtype=bool)
@@ -92,8 +93,7 @@ def prime_check(n: int) -> PrimalityCheck:
     prime verdicts are certain below DETERMINISTIC_WITNESS_BOUND and carry
     probabilistic=True above it.
     """
-    if n < 0:
-        raise DomainError(f"primality is defined for n >= 0, got {n}")
+    n = integer("n", n, 0)
     if n < 2:
         return PrimalityCheck(False, False)
     for p in _SMALL_PRIMES:
@@ -129,19 +129,22 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        subject = integer("subject", self.subject)
+        factors = tuple((integer("factor", p), integer(f"exponent of {p}", e, 1))
+                        for p, e in self.factors)
         product = 1
         previous = 1
-        for p, e in self.factors:
-            if e < 1:
-                raise DomainError(f"exponent for prime {p} must be >= 1, got {e}")
+        for p, e in factors:
             if p <= previous:
                 raise DomainError("primes must be strictly increasing")
             if not is_prime(p):
                 raise DomainError(f"factor {p} is not prime")
             previous = p
             product *= p ** e
-        if product != self.subject:
-            raise DomainError(f"factors reconstruct {product}, not {self.subject}")
+        if product != subject:
+            raise DomainError(f"factors reconstruct {product}, not {subject}")
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -184,8 +187,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     per-n deterministic parameters; raises FactorizationError naming the
     composite it stopped at when the budget runs out.
     """
-    if n < 2:
-        raise DomainError(f"factorize needs n >= 2, got {n}")
+    n = integer("n", n, 2)
     found: dict[int, int] = {}
     remaining = n
     for p in _SMALL_PRIMES:

@@ -11,11 +11,10 @@ the sieve strides along these classes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, integer
 from .factoring import Factorization, factorize, is_prime, primes_up_to
 
 if TYPE_CHECKING:
@@ -67,9 +66,7 @@ def is_carmichael(n: int, factorization: Factorization | None = None) -> Carmich
     Without a factorization, n is factored under the default budget.
     Primes and 1 yield a falsy certificate (not composite).
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = integer("n", n, 1)
     if factorization is None:
         factorization = Factorization(1, ()) if n == 1 else factorize(n)
     elif factorization.subject != n:
@@ -83,9 +80,7 @@ def chernick(m: int) -> int | None:
     Any such product is Carmichael, so scanning m is a cheap generator of
     examples; absence (a composite factor) is expected, not an error.
     """
-    m = _integer("m", m)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    m = integer("m", m, 1)
     parts = (6 * m + 1, 12 * m + 1, 18 * m + 1)
     if all(is_prime(x) for x in parts):
         return parts[0] * parts[1] * parts[2]
@@ -102,9 +97,7 @@ def enumerate_carmichael(limit: int) -> list[int]:
     DEFAULT_ENUMERATION_CAP raises CapExceededError;
     enumerate_carmichael_range(3, limit) runs the same sieve past it.
     """
-    limit = _integer("limit", limit)
-    if limit < 0:
-        raise DomainError(f"limit must be non-negative, got {limit}")
+    limit = integer("limit", limit, 0)
     if limit > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(f"limit {limit} exceeds the enumeration cap "
                                f"{DEFAULT_ENUMERATION_CAP}")
@@ -115,7 +108,7 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
     """Carmichael numbers in [lo, hi]; windows that tile a range give its
     list when their results are concatenated in order.  hi above
     SIEVE_HI_CAP raises CapExceededError before anything is allocated."""
-    lo, hi = _integer("lo", lo), _integer("hi", hi)
+    lo, hi = integer("lo", lo), integer("hi", hi)
     if hi > SIEVE_HI_CAP:
         raise CapExceededError(f"hi {hi} exceeds the sieve cap {SIEVE_HI_CAP}")
     lo = max(lo, 3)
@@ -131,14 +124,6 @@ def enumerate_carmichael_range(lo: int, hi: int) -> list[int]:
             block_hi -= 1
         found.extend(_scan_block(block_lo, block_hi, primes))
     return found
-
-
-def _integer(name: str, value) -> int:
-    """value as an int (numpy integers included); DomainError otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _scan_block(lo: int, hi: int, primes: np.ndarray) -> list[int]:

@@ -1,7 +1,11 @@
 import bisect
+import dataclasses
+import json
 import math
+import numbers
 import random
 import time
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carmlab import korselt
+from carmlab.accuracy import (binomial_tail_exact, carmichael_prior,
+                              empirical_proportion_distribution, posterior_composite_given,
+                              prime_prior)
+from carmlab.arith import natural_log_squared_floor
+from carmlab.bench import composite_for_bits, run_benchmark
+from carmlab.bound import bound_closed_form, bound_curve, prime_factor_bound
+from carmlab.census import census_brute_force, census_exact, classify_witness
+from carmlab.detector import DetectorConfig, default_sample_size, detect_carmichael_general
 from carmlab.errors import CapExceededError, DomainError
-from carmlab.factoring import factorize
+from carmlab.factoring import Factorization, factorize, is_prime, prime_check, primes_up_to
 from carmlab.korselt import (SIEVE_HI_CAP, CarmichaelCertificate, chernick,
                              enumerate_carmichael, enumerate_carmichael_range,
                              is_carmichael)
@@ -288,18 +300,94 @@ class TestSieveAgainstReference:
         assert listing == carmichaels_to_1e8
 
 
+def leaked_integers(value) -> list:
+    """The integers inside value (a number, or a dataclass, Fraction, dict,
+    list or tuple of them, at any depth) that are not Python ints."""
+    if isinstance(value, numbers.Integral):
+        return [] if type(value) in (int, bool) else [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    elif isinstance(value, Fraction):
+        value = [value.numerator, value.denominator]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in leaked_integers(item)]
+    return []
+
+
 class TestIntegerArguments:
+    """Every integer argument of the library passes through errors.integer:
+    a table of fn(*args(value)) calls, one per gated argument, each in its
+    domain at value = 600 unless ACCEPTED names another value."""
+
     CALLS = [(is_carmichael, "n", lambda v: (v,)),
              (chernick, "m", lambda v: (v,)),
              (enumerate_carmichael, "limit", lambda v: (v,)),
              (enumerate_carmichael_range, "lo", lambda v: (v, 1000)),
-             (enumerate_carmichael_range, "hi", lambda v: (3, v))]
+             (enumerate_carmichael_range, "hi", lambda v: (3, v)),
+             (natural_log_squared_floor, "n", lambda v: (v,)),
+             (default_sample_size, "n", lambda v: (v,)),
+             (DetectorConfig, "t", lambda v: (v,)),
+             (DetectorConfig, "seed", lambda v: (None, Fraction(9, 20), v)),
+             (detect_carmichael_general, "n", lambda v: (v,)),
+             (classify_witness, "a", lambda v: (v, 1000)),
+             (classify_witness, "n", lambda v: (7, v)),
+             (census_brute_force, "n", lambda v: (v,)),
+             (census_exact, "n", lambda v: (v, factorize(600))),
+             (prime_check, "n", lambda v: (v,)),
+             (is_prime, "n", lambda v: (v,)),
+             (factorize, "n", lambda v: (v,)),
+             (primes_up_to, "limit", lambda v: (v,)),
+             (Factorization, "subject", lambda v: (v, ((2, 3), (3, 1), (5, 2)))),
+             (Factorization, "factor", lambda v: (601, ((v, 1),))),
+             (Factorization, "exponent of 2", lambda v: (2**600, ((2, v),))),
+             (bound_curve, "n", lambda v: (2, v)),
+             (prime_factor_bound, "n", lambda v: (v,)),
+             (bound_closed_form, "n", lambda v: (v,)),
+             (carmichael_prior, "bit_length", lambda v: (v,)),
+             (prime_prior, "bit_length", lambda v: (v,)),
+             (posterior_composite_given, "t", lambda v: (v,)),
+             (posterior_composite_given, "bit_length", lambda v: (40, Fraction(9, 20), v)),
+             (empirical_proportion_distribution, "n", lambda v: (v, None, 5, 10)),
+             (empirical_proportion_distribution, "t", lambda v: (561, None, v, 10)),
+             (empirical_proportion_distribution, "trials", lambda v: (561, None, 5, v)),
+             (empirical_proportion_distribution, "seed", lambda v: (561, None, 5, 10, v)),
+             (binomial_tail_exact, "t", lambda v: (Fraction(1, 2), v, Fraction(1, 2))),
+             (composite_for_bits, "bits", lambda v: (v,)),
+             (composite_for_bits, "seed", lambda v: (64, v)),
+             (run_benchmark, "bits", lambda v: ((16, v), 1, 1)),
+             (run_benchmark, "t", lambda v: ((16, 32), v, 1)),
+             (run_benchmark, "repeats", lambda v: ((16, 32), 1, v)),
+             (run_benchmark, "seed", lambda v: ((16, 32), 1, 1, v))]
+    # 600 is not prime, and 600 timing repeats would take seconds
+    ACCEPTED = {"factor": 601, "repeats": 1}
 
     @pytest.mark.parametrize("value", [600.0, "600"])
     @pytest.mark.parametrize("fn, name, args", CALLS)
     def test_non_integers_rejected(self, fn, name, args, value):
-        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
             fn(*args(value))
+
+    @pytest.mark.parametrize("fn, name, args", CALLS)
+    def test_numpy_integers_give_python_ints(self, fn, name, args):
+        value = self.ACCEPTED.get(name, 600)
+        for v in (value, np.int64(value)):
+            result = fn(*args(v))
+            if hasattr(result, "to_json_dict"):
+                result = result.to_json_dict()
+                json.dumps(result)
+            assert leaked_integers(result) == []
+
+    def test_inputs_that_leaked_before_the_gate(self):
+        for call in (lambda: is_prime(7.5), lambda: factorize(561.0),
+                     lambda: DetectorConfig(rng_seed=1.5),
+                     lambda: Factorization(6.0, ((2, 1), (3, 1)))):
+            with pytest.raises(DomainError, match="must be an integer"):
+                call()
+        assert json.loads(json.dumps(census_brute_force(np.int64(561)).to_json_dict())) == \
+            census_brute_force(561).to_json_dict()
+        assert detect_carmichael_general(np.int64(561)) == detect_carmichael_general(561)
 
     def test_ints_and_numpy_integers_accepted(self):
         for n in (561, np.int64(561), np.uint16(561)):
