@@ -9,6 +9,10 @@ else the text.  --output puts the same bytes in a file, and a CSV or text
 file gets the manifest as a `<file>.manifest.json` sidecar.  Exit codes
 are 0 on success, 2 for domain/usage errors, 3 for budget or cap errors,
 1 for anything unexpected.
+
+Module level imports only the standard library and `carmlab.errors`; each
+handler imports the library modules it runs, so a command loads no module
+it does not use.
 """
 
 from __future__ import annotations
@@ -25,18 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .accuracy import (empirical_proportion_distribution, posterior_composite_given,
-                       posterior_general)
-from .bench import DEFAULT_BIT_LENGTHS, run_benchmark
-from .bound import classify_by_bound, prime_factor_bound
-from .census import census_brute_force, census_exact
-from .detector import DEFAULT_THRESHOLD, DetectorConfig, detect_carmichael_general
-from .errors import CapExceededError, DomainError, FactorizationError
-from .factoring import factorize
-from .korselt import enumerate_carmichael, is_carmichael
-from .reproduce import (bound_curve_series, reproduce_fermat_table,
-                        reproduce_proportion_examples, reproduce_witness_catalog)
-from .schemas import SCHEMAS
+from .errors import CapExceededError, DomainError, FactorizationError, integer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,6 +39,10 @@ _FLOAT_INT_LIMIT = 1 << 53
 # largest power a flag may spell, e.g. 2**1024 or --bits; 14,000 bits is
 # 4,215 decimal digits, within what str() of an int may print
 _MAX_INPUT_BITS = 14_000
+# the library's DEFAULT_THRESHOLD and DEFAULT_BIT_LENGTHS as argparse passes
+# string defaults through `type`, so the parser loads neither detector nor bench
+_DEFAULT_THRESHOLD = "9/20"
+_DEFAULT_BIT_LENGTHS = "64:128:256:512:1024"
 
 
 def _parse_int(text: str) -> int:
@@ -137,6 +134,9 @@ def _emit(report: Report, args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------- census
 
 def cmd_census(args: argparse.Namespace) -> Report:
+    from .census import census_brute_force, census_exact
+    from .factoring import factorize
+
     if args.exact:
         census = census_exact(args.n, factorize(args.n))
     else:
@@ -165,6 +165,8 @@ def _census_text(census) -> str:
 # -------------------------------------------------------------- classify
 
 def cmd_classify(args: argparse.Namespace) -> Report:
+    from .detector import DetectorConfig, detect_carmichael_general
+
     cfg = DetectorConfig(t_override=args.t, threshold=args.threshold,
                          rng_seed=args.seed)
     return Report(detect_carmichael_general(args.n, cfg).to_json_dict())
@@ -173,6 +175,8 @@ def cmd_classify(args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------- enumerate
 
 def cmd_enumerate(args: argparse.Namespace) -> Report:
+    from .korselt import enumerate_carmichael, is_carmichael
+
     results = enumerate_carmichael(args.limit)
     lines = [json.dumps(is_carmichael(n).to_json_dict()) if args.certificates else str(n)
              for n in results]
@@ -182,6 +186,10 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
 # ------------------------------------------------------------------ bound
 
 def cmd_bound(args: argparse.Namespace) -> Report:
+    from .bound import classify_by_bound, prime_factor_bound
+    from .factoring import factorize
+    from .korselt import is_carmichael
+
     evaluation = prime_factor_bound(args.n)
     verdict = None
     # a Carmichael number is odd, so base 2 is a Fermat liar for it; an n
@@ -199,11 +207,16 @@ def cmd_bound(args: argparse.Namespace) -> Report:
 # ------------------------------------------------------------------ model
 
 def cmd_model(args: argparse.Namespace) -> Report:
+    from .accuracy import posterior_composite_given, posterior_general
+    from .detector import DetectorConfig
+
     if args.bits > _MAX_INPUT_BITS:
         raise DomainError(f"--bits {args.bits} exceeds {_MAX_INPUT_BITS}")
-    t = DetectorConfig(t_override=args.t).sample_size(2 ** args.bits)
+    # checked before 2 ** bits, which is a fraction for negative bits
+    bits = integer("bit_length", args.bits, 8)
+    t = DetectorConfig(t_override=args.t).sample_size(2 ** bits)
     build = posterior_general if args.general else posterior_composite_given
-    report = build(t, threshold=args.threshold, bit_length=args.bits,
+    report = build(t, threshold=args.threshold, bit_length=bits,
                    fraction_A=args.fraction_a, fraction_B=args.fraction_b)
     return Report(report.to_json_dict())
 
@@ -211,6 +224,9 @@ def cmd_model(args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------- reproduce
 
 def cmd_reproduce(args: argparse.Namespace) -> Report:
+    from .reproduce import (bound_curve_series, reproduce_fermat_table,
+                            reproduce_proportion_examples, reproduce_witness_catalog)
+
     if args.table == 1:
         report = reproduce_fermat_table()
         header = ["a", "computed", "published", "match", "witness"]
@@ -233,6 +249,9 @@ def cmd_reproduce(args: argparse.Namespace) -> Report:
                       csv=(["a", "value"], [[f"{p['a']:.6f}", f"{p['value']:.12g}"]
                                             for p in series]))
     # --figure 2; argparse requires exactly one mode
+    from .accuracy import empirical_proportion_distribution
+    from .factoring import factorize
+
     histogram = empirical_proportion_distribution(
         n, factorize(n), t=args.t, trials=args.trials, seed=args.seed)
     return Report(histogram.to_json_dict(),
@@ -282,6 +301,8 @@ def _proportions_text(report: dict) -> str:
 # ------------------------------------------------------------------ bench
 
 def cmd_bench(args: argparse.Namespace) -> Report:
+    from .bench import run_benchmark
+
     report = run_benchmark(bit_lengths=args.bits, t=args.t, repeats=args.repeats,
                            seed=args.seed)
     return Report(report.to_json_dict())
@@ -290,12 +311,16 @@ def cmd_bench(args: argparse.Namespace) -> Report:
 # ----------------------------------------------------------------- schema
 
 def cmd_schema(args: argparse.Namespace) -> None:
+    from .schemas import SCHEMAS
+
     print(json.dumps(SCHEMAS[args.name], indent=2))
 
 
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
+    from .schemas import SCHEMAS
+
     parser = argparse.ArgumentParser(
         prog="carmlab",
         description="Carmichael number analysis: censuses, classification, "
@@ -318,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--t", type=_parse_int, default=None,
                    help="sample size override (default floor((ln n)^2))")
-    p.add_argument("--threshold", type=_parse_fraction, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_parse_fraction, default=_DEFAULT_THRESHOLD)
     p.add_argument("--output")
     p.set_defaults(handler=cmd_classify)
 
@@ -338,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=_parse_int, default=1024)
     p.add_argument("--t", type=_parse_int, default=None,
                    help="sample size (default floor((ln 2^bits)^2))")
-    p.add_argument("--threshold", type=_parse_fraction, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_parse_fraction, default=_DEFAULT_THRESHOLD)
     p.add_argument("--general", action="store_true",
                    help="model an input that may be prime (default: a composite input)")
     p.add_argument("--fraction-a", type=_parse_fraction, default=None,
@@ -363,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_reproduce)
 
     p = sub.add_parser("bench", help="classification cost versus bit length")
-    p.add_argument("--bits", type=_parse_bit_lengths, default=DEFAULT_BIT_LENGTHS,
+    p.add_argument("--bits", type=_parse_bit_lengths, default=_DEFAULT_BIT_LENGTHS,
                    help="colon-separated bit lengths, e.g. 64:128:256")
     p.add_argument("--t", type=_parse_int, default=16)
     p.add_argument("--repeats", type=_parse_int, default=3)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import subprocess
@@ -10,9 +11,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import carmlab
 import carmlab.cli
-from carmlab.bench import composite_for_bits
-from carmlab.cli import _MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int, main
+from carmlab.bench import DEFAULT_BIT_LENGTHS, composite_for_bits
+from carmlab.cli import (_MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int,
+                         build_parser, main)
+from carmlab.detector import DEFAULT_THRESHOLD
 from carmlab.reproduce import HIGH_WITNESS_CATALOG
 from carmlab.schemas import SCHEMAS
 
@@ -24,31 +28,88 @@ def run_fresh(code: str) -> str:
     return done.stdout.strip()
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    # numpy and mpmath are imported by the functions that use them, on first
-    # use, and the serial sieve needs no process pool
-    assert run_fresh("import sys; import carmlab.cli; print([m for m in "
-                     "('numpy', 'mpmath', 'concurrent.futures') if m in sys.modules])") == "[]"
-
-
-def mpmath_loaded_after(*argvs: str) -> str:
-    # runs each command through main in one fresh interpreter; prints the exit
-    # codes and whether mpmath was imported
-    return run_fresh("import contextlib, io, sys; from carmlab.cli import main\n"
-                     "with contextlib.redirect_stdout(io.StringIO()):\n"
-                     f"    codes = [main(argv.split()) for argv in {argvs!r}]\n"
-                     "print(codes, 'mpmath' in sys.modules)")
+def loaded_after(*argvs: str) -> tuple[list[int], set[str]]:
+    # runs each command through main in one fresh interpreter; returns the
+    # exit codes and the names of the modules then loaded
+    codes, modules = json.loads(run_fresh(
+        "import contextlib, io, json, sys; from carmlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv.split()) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, list(sys.modules)]))"))
+    return codes, set(modules)
 
 
 def test_commands_without_extended_precision_do_not_load_mpmath():
     argvs = ("census 561 --exact", "enumerate --limit 2000", "classify 561 --t 40",
              "reproduce --table 2", "schema verdict")
-    assert mpmath_loaded_after(*argvs) == "[0, 0, 0, 0, 0] False"
+    codes, modules = loaded_after(*argvs)
+    assert codes == [0] * 5 and "mpmath" not in modules
 
 
 @pytest.mark.parametrize("argv", ["model --bits 64", "bound 561"])
 def test_commands_with_extended_precision_load_mpmath(argv):
-    assert mpmath_loaded_after(argv) == "[0] True"
+    codes, modules = loaded_after(argv)
+    assert codes == [0] and "mpmath" in modules
+
+
+def test_importing_the_cli_loads_only_the_cli():
+    # library modules, numpy and mpmath are imported by the code that uses
+    # them, on first use, and the serial sieve needs no process pool
+    codes, modules = loaded_after()
+    assert {m for m in modules if m.startswith("carmlab")} == {
+        "carmlab", "carmlab.cli", "carmlab.errors"}
+    assert modules.isdisjoint({"numpy", "mpmath", "concurrent.futures"})
+
+
+# each command imports only the modules it runs; these stay unloaded
+UNLOADED_AFTER = {
+    "schema verdict": ("carmlab.detector", "carmlab.census", "carmlab.factoring",
+                       "carmlab.korselt", "numpy", "mpmath"),
+    "census 561": ("carmlab.detector", "carmlab.korselt", "carmlab.accuracy",
+                   "carmlab.bound", "carmlab.bench", "carmlab.reproduce"),
+    "classify 561 --t 40": ("carmlab.census", "carmlab.korselt", "carmlab.accuracy",
+                            "carmlab.bound", "carmlab.bench", "carmlab.reproduce", "numpy"),
+    "enumerate --limit 2000": ("carmlab.detector", "carmlab.census", "carmlab.accuracy",
+                               "carmlab.bound", "carmlab.bench", "carmlab.reproduce"),
+    "bound 561": ("carmlab.detector", "carmlab.census", "carmlab.accuracy",
+                  "carmlab.bench", "carmlab.reproduce", "numpy"),
+    "model --bits 64": ("carmlab.korselt", "carmlab.bound", "carmlab.bench",
+                        "carmlab.reproduce", "numpy"),
+    "reproduce --table 2": ("carmlab.detector", "carmlab.accuracy", "carmlab.bench"),
+}
+
+
+@pytest.mark.parametrize("argv", UNLOADED_AFTER)
+def test_a_command_loads_only_the_modules_it_runs(argv):
+    codes, modules = loaded_after(argv)
+    assert codes == [0] and modules.isdisjoint(UNLOADED_AFTER[argv])
+
+
+def test_parser_defaults_equal_the_library_constants():
+    # the parser spells them as strings, so that it loads neither module
+    parse = build_parser().parse_args
+    assert parse(["classify", "5"]).threshold == DEFAULT_THRESHOLD
+    assert parse(["model"]).threshold == DEFAULT_THRESHOLD
+    assert parse(["bench"]).bits == DEFAULT_BIT_LENGTHS
+
+
+def test_every_export_is_its_submodules_object():
+    assert len(carmlab.__all__) == 48
+    for name in carmlab.__all__:
+        module = importlib.import_module(f"carmlab.{carmlab._SUBMODULE[name]}")
+        value = getattr(carmlab, name)
+        assert value is getattr(module, name), name
+        if callable(value):
+            assert value.__module__ == module.__name__, name
+    namespace = {}
+    exec("from carmlab import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(carmlab.__all__)
+    assert set(carmlab.__all__) <= set(dir(carmlab))
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'carmlab' has no attribute 'nope'$"):
+        carmlab.nope  # noqa: B018
 
 
 def run(capsys, *argv):
@@ -237,7 +298,8 @@ class TestBoundCommand:
         def refuse(n):
             raise AssertionError(f"factorize({n}) called")
 
-        monkeypatch.setattr(carmlab.cli, "factorize", refuse)
+        # the handler imports factorize when it runs, so patch its module
+        monkeypatch.setattr("carmlab.factoring.factorize", refuse)
         payload = run_json(capsys, "bound", str(composite_for_bits(128)))
         assert payload["verdict"] is None
         monkeypatch.undo()
