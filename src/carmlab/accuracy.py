@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .census import census_exact
 from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
 from .errors import CapExceededError, DomainError, integer
 from .factoring import Factorization
@@ -228,6 +227,8 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     expected_mean = None
     sigma_model = None
     if factorization is not None:
+        from .census import census_exact
+
         census = census_exact(n, factorization)
         expected_mean = census.proportion_witnesses
         fraction_a = Fraction(census.count_A, n - 1)  # share of liars among the bases drawn

@@ -19,22 +19,29 @@ a^(n-1) is a^d squared s times, and gcds with a witness or with the liar
 chain's values minus one split n. Once its factors are proven primes and
 pass Korselt's criterion, a base is a Fermat witness exactly when
 gcd(a, n) > 1, and the remaining draws cost one gcd per batch: that of n
-with their product mod n, which is 1 exactly when every draw is coprime.
+with their product, which is 1 exactly when every draw is coprime.
 
-When the attempt gives up, the remaining draws share one modulus and one
-exponent, so a batch of at least _BATCH_MIN of them is tested at once by
-Montgomery multiplication (Montgomery 1985) over numpy limb columns, with
-a sliding window over the exponent and a dedicated squaring. On a 2-CPU
-EPYC that makes a 128-bit verdict about 5.5 times faster than one pow per
-draw, and the draws of a 1024-bit one about 2.7 times. Smaller batches,
-where numpy's per-call cost outweighs the lockstep, even n and n above
-_BATCH_MAX_BITS keep one pow per draw. numpy is imported by the batch
-test alone.
+After the attempt, an odd n of at most _BATCH_MAX_BITS bits takes each
+batch of at least _BATCH_MIN draws as one block of Mersenne Twister words
+(Matsumoto and Nishimura 1998): one getrandbits call holds the candidates
+that per-draw rejection sampling would draw next, in order, and those
+rejected are made up by further calls. numpy rejects them, cuts the rest
+into 28-bit limbs and adds 1 without a Python int per draw, and the
+seeded stream ends where per-draw sampling leaves it. A proven n
+multiplies the block down by a tree of Montgomery products (Montgomery
+1985), whose factors 1/R do not change the gcd with n. Any other n tests
+the block with one Montgomery exponentiation over all its bases, with a
+sliding window over the exponent and a dedicated squaring. On a 2-CPU
+EPYC that exponentiation makes a 128-bit composite's verdict about 5.5
+times faster than one pow per draw, and the draws of a 1024-bit one
+about 2.7 times. Smaller batches, where numpy's per-call cost outweighs
+the lockstep, even n and n above _BATCH_MAX_BITS keep one draw and one
+pow or one multiplication per base. numpy is imported by the block path
+alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import re
@@ -155,77 +162,181 @@ def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
     """The Fermat witnesses among t bases drawn from {1, ..., n-1} on rng;
     the detector and the accuracy histogram both sample through it.
 
-    The first draws go to _proves_carmichael. The remaining draws are then
-    taken _BATCH at a time. If n was proven Carmichael, a base is a
-    witness exactly when it shares a factor with n, and a batch needs one
-    gcd: gcd(prod a mod n, n) = 1 exactly when every a is coprime to n,
-    and only a batch failing that is rescanned one gcd per base.
-    Otherwise the batch is Fermat-tested, by _fermat_liars when it holds
-    at least _BATCH_MIN bases and n is odd with at most _BATCH_MAX_BITS
-    bits, and else by one pow per base. Either way the witnesses are the
-    same, in draw order.
+    The first draws go to _proves_carmichael, one uniform_below each. The
+    remaining draws are then taken _BATCH at a time. When n is odd with at
+    most _BATCH_MAX_BITS bits and a batch holds at least _BATCH_MIN draws,
+    _uniform_words draws it as one block of Mersenne Twister words, which
+    become numpy limbs without a Python int per draw. If n was proven
+    Carmichael, a base is a witness exactly when it shares a factor with n:
+    the block is multiplied down by _product_tree, gcd(product, n) = 1
+    exactly when every base is coprime to n, and only a block failing that
+    is rescanned one gcd per base. Otherwise _fermat_liars tests the block,
+    and only its witnesses become Python ints. A smaller batch, an even n
+    or one above _BATCH_MAX_BITS bits draws one uniform_below per base and
+    needs one multiplication mod n (proven) or one pow per base. Either way
+    the witnesses are the same, in draw order, and rng ends where t calls
+    of uniform_below leave it.
     """
-    draws = (1 + uniform_below(rng, n - 1) for _ in range(t))
+    order = iter(range(t))
     witnesses: list[int] = []
-    proven = _proves_carmichael(n, draws, witnesses)
-    while batch := list(itertools.islice(draws, _BATCH)):
-        if proven:
-            product = 1
-            for a in batch:
-                product = product * a % n
-            if math.gcd(product, n) != 1:
-                witnesses += [a for a in batch if math.gcd(a, n) != 1]
-        elif len(batch) >= _BATCH_MIN and n % 2 and n.bit_length() <= _BATCH_MAX_BITS:
-            liars = _fermat_liars(batch, n).tolist()
-            witnesses += [a for a, liar in zip(batch, liars) if not liar]
-        else:
+    proven = _proves_carmichael(n, (1 + uniform_below(rng, n - 1) for _ in order), witnesses)
+    left = t - next(order, t)  # the draws the proof attempt did not make
+    routed = n % 2 and n.bit_length() <= _BATCH_MAX_BITS
+    while left:
+        size = min(left, _BATCH)
+        left -= size
+        if routed and size >= _BATCH_MIN:
+            words = _uniform_words(rng, n - 1, size)
+            limbs = _base_limbs(words, _limb_count(n))
+            if not proven:
+                witnesses += _bases(words[~_fermat_liars(limbs, n)])
+            elif math.gcd(_product_tree(limbs, n), n) != 1:
+                witnesses += [a for a in _bases(words) if math.gcd(a, n) != 1]
+            continue
+        batch = [1 + uniform_below(rng, n - 1) for _ in range(size)]
+        if not proven:
             exponent = n - 1
             witnesses += [a for a in batch if pow(a, exponent, n) != 1]
+            continue
+        product = 1
+        for a in batch:
+            product = product * a % n
+        if math.gcd(product, n) != 1:
+            witnesses += [a for a in batch if math.gcd(a, n) != 1]
     return witnesses
 
 
-def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
-    """The mask pow(a, n - 1, n) == 1 over bases, for an odd n >= 3 and
-    every 0 <= a < n, from one Montgomery exponentiation run over all
-    bases at once.
+def _uniform_words(rng: random.Random, m: int, count: int) -> np.ndarray:
+    """count values of uniform_below(rng, m), m >= 2, in draw order, as the
+    rows of a (count, w) array of 32-bit words, low word first, where w =
+    ceil(bits / 32) for the bit length bits of m. rng is left where count
+    calls of uniform_below leave it.
 
-    A value is a column of k 28-bit limbs in a (k, len(bases)) uint64
-    array, with R = 2^(28k) > 4n. A Montgomery product (Montgomery 1985)
-    of x, y < 2n is a schoolbook product into 2k columns, k word-by-word
-    REDC steps that each add q * n to clear the lowest column, and one
-    carry pass; it leaves a value congruent to x * y / R mod n and below
-    2n, so no value is ever compared with n. A squaring forms each cross
-    product x_i * x_j (i < j) once, from 2 * x_i, and each x_i^2, so its
-    columns hold the same sums as the schoolbook product's: a doubled
-    cross product, below 2^57, stands for the two terms x_i * x_j and
-    x_j * x_i. Either way a column sums at most 2k limb products below
-    2^56 and a carry, which fits uint64 for every k < 128. Products take
-    turns between two column buffers, so each result is read in place
-    from the upper half of its buffer while the next product fills the
-    other one.
-
-    The exponent n - 1 is walked from the top in sliding windows of at
-    most 4 bits that start and end with a one (Menezes, van Oorschot and
-    Vanstone 1996, section 14.6): each bit costs a squaring and each
-    window one product with a precomputed odd power a, a^3, ..., a^15, so
-    a 128-bit n takes about 160 products where bit by bit takes about 192.
-    A base is a liar when REDC(x, 1) = 1.
+    CPython's getrandbits(bits) takes w outputs of the Mersenne Twister
+    (Matsumoto and Nishimura 1998) as the words of its value, lowest first,
+    and shifts the last one right by (-bits) mod 32. So one
+    getrandbits(32 * w * j) holds uniform_below's next j candidates, w words
+    each, and only each top word needs the shift. A candidate is accepted
+    when it is below m: its top word is compared with m's, and a tie is
+    settled on the words below. The accepted rows keep their order and the
+    shortfall is drawn again. Every candidate drawn is one that the count
+    calls of uniform_below would draw, so the stream never overshoots.
     """
     import numpy as np
 
-    k = (n.bit_length() + 2 + _LIMB_BITS - 1) // _LIMB_BITS
-    mask, shift = np.uint64(_LIMB_MASK), np.uint64(_LIMB_BITS)
-    inverse = n  # 1/n mod 2^28 by Newton's iteration, from n * n = 1 mod 8
-    for _ in range(4):
-        inverse = inverse * (2 - n * inverse) & _LIMB_MASK
-    q_factor = np.uint64(-inverse & _LIMB_MASK)
-    modulus = _to_limbs([n], k)
-    buffers = [np.empty((2 * k, len(bases)), dtype=np.uint64) for _ in range(2)]
-    row = np.empty((k, len(bases)), dtype=np.uint64)
-    doubled = np.empty((k, len(bases)), dtype=np.uint64)
-    q = np.empty(len(bases), dtype=np.uint64)
+    bits = m.bit_length()
+    w = -(-bits // 32)
+    shift = np.uint32(-bits % 32)
+    bound = np.frombuffer(m.to_bytes(4 * w, "little"), dtype="<u4")
+    values, filled = np.empty((count, w), dtype="<u4"), 0
+    while filled < count:
+        need = count - filled
+        raw = rng.getrandbits(32 * w * need).to_bytes(4 * w * need, "little")
+        words = np.frombuffer(raw, dtype="<u4").reshape(need, w)
+        top = words[:, -1] >> shift
+        below = top < bound[-1]
+        tie = top == bound[-1]
+        for j in range(w - 2, -1, -1):
+            if not tie.any():
+                break
+            below |= tie & (words[:, j] < bound[j])
+            tie &= words[:, j] == bound[j]
+        kept = values[filled:filled + np.count_nonzero(below)]
+        np.compress(below, words, axis=0, out=kept)
+        np.compress(below, top, out=kept[:, -1])
+        filled += len(kept)
+    return values
 
-    def reduce(cols: np.ndarray) -> np.ndarray:
+
+def _bases(words: np.ndarray) -> list[int]:
+    """1 + v as a Python int for each row v of _uniform_words's words."""
+    raw, size = words.tobytes(), 4 * words.shape[1]
+    return [1 + int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _limb_count(n: int) -> int:
+    """The least k with R = 2^(28k) > 4n."""
+    return (n.bit_length() + 2 + _LIMB_BITS - 1) // _LIMB_BITS
+
+
+def _to_limbs(values: list[int], k: int) -> np.ndarray:
+    """values, each below 2^(28k), as k rows of 28-bit limbs, low limb first."""
+    import numpy as np
+
+    return np.array([[v >> (_LIMB_BITS * i) & _LIMB_MASK for v in values] for i in range(k)],
+                    dtype=np.uint64)
+
+
+def _base_limbs(words: np.ndarray, k: int) -> np.ndarray:
+    """The k limbs of 1 + v, as _to_limbs lays them out, for each row v of
+    _uniform_words's words, each 1 + v below 2^(28k).
+
+    The words are read as little-endian 64-bit chunks, zero-padded to span
+    28k bits, and limb j is cut from bit 28j of them; 1 is then added to
+    the lowest limb with a carry.
+    """
+    import numpy as np
+
+    mask, shift = np.uint64(_LIMB_MASK), np.uint64(_LIMB_BITS)
+    chunks = np.zeros((len(words), -(-_LIMB_BITS * k // 64)), dtype="<u8")
+    chunks.view("<u4")[:, :words.shape[1]] = words
+    limbs = np.empty((k, len(words)), dtype=np.uint64)
+    for j, limb in enumerate(limbs):
+        c, offset = divmod(_LIMB_BITS * j, 64)
+        np.right_shift(chunks[:, c], np.uint64(offset), out=limb)
+        if offset > 64 - _LIMB_BITS:
+            limb |= chunks[:, c + 1] << np.uint64(64 - offset)
+        limb &= mask
+    limbs[0] += np.uint64(1)
+    for i in range(k - 1):  # a carry out of the low limbs, 1 in 2^28 draws
+        carry = limbs[i] >> shift
+        if not carry.any():
+            break
+        limbs[i] &= mask
+        limbs[i + 1] += carry
+    return limbs
+
+
+class _Montgomery:
+    """Montgomery products mod an odd n >= 3 over numpy columns, up to
+    width columns at once.
+
+    A value is a column of k 28-bit limbs in a (k, columns) uint64 array,
+    with R = 2^(28k) > 4n. A Montgomery product (Montgomery 1985) of x, y
+    < 2n is a schoolbook product into 2k columns, k word-by-word REDC steps
+    that each add q * n to clear the lowest column, and one carry pass; it
+    leaves a value congruent to x * y / R mod n and below 2n, so no value
+    is ever compared with n. A squaring forms each cross product x_i * x_j
+    (i < j) once, from 2 * x_i, and each x_i^2, so its columns hold the
+    same sums as the schoolbook product's: a doubled cross product, below
+    2^57, stands for the two terms x_i * x_j and x_j * x_i. Either way a
+    column sums at most 2k limb products below 2^56 and a carry, which fits
+    uint64 for every k < 128. Products take turns between two column
+    buffers, so each result is read in place from the upper half of its
+    buffer while the next product fills the other one, and the product
+    after that overwrites it.
+    """
+
+    def __init__(self, n: int, width: int):
+        import numpy as np
+
+        self.k = k = _limb_count(n)
+        inverse = n  # 1/n mod 2^28 by Newton's iteration, from n * n = 1 mod 8
+        for _ in range(4):
+            inverse = inverse * (2 - n * inverse) & _LIMB_MASK
+        self.q_factor = np.uint64(-inverse & _LIMB_MASK)
+        self.modulus = _to_limbs([n], k)
+        self.buffers = [np.empty((2 * k, width), dtype=np.uint64) for _ in range(2)]
+        self.row = np.empty((k, width), dtype=np.uint64)
+        self.doubled = np.empty((k, width), dtype=np.uint64)
+        self.q = np.empty(width, dtype=np.uint64)
+
+    def _reduce(self, cols: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        k, width = self.k, cols.shape[1]
+        mask, shift = np.uint64(_LIMB_MASK), np.uint64(_LIMB_BITS)
+        q, row, q_factor, modulus = self.q[:width], self.row[:, :width], self.q_factor, self.modulus
         for i in range(k):
             np.multiply(cols[i], q_factor, out=q)
             np.bitwise_and(q, mask, out=q)
@@ -236,31 +347,59 @@ def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
         for i in range(k, 2 * k - 1):
             cols[i + 1] += cols[i] >> shift
             cols[i] &= mask
-        buffers.reverse()  # the next product must not overwrite this one
+        self.buffers.reverse()  # the next product must not overwrite this one
         return cols[k:]
 
-    def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        cols = buffers[0]
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x * y / R mod n, below 2n, over x's columns; y has as many
+        columns or one."""
+        import numpy as np
+
+        k, width = self.k, x.shape[1]
+        cols, row = self.buffers[0][:, :width], self.row[:, :width]
         np.multiply(x[0], y, out=cols[:k])
         cols[k:] = 0
         for i in range(1, k):
             np.multiply(x[i], y, out=row)
             cols[i:i + k] += row
-        return reduce(cols)
+        return self._reduce(cols)
 
-    def square(x: np.ndarray) -> np.ndarray:
-        cols = buffers[0]
+    def square(self, x: np.ndarray) -> np.ndarray:
+        """x * x / R mod n, below 2n."""
+        import numpy as np
+
+        k, width = self.k, x.shape[1]
+        cols, row = self.buffers[0][:, :width], self.row[:, :width]
+        doubled = self.doubled[:, :width]
         np.multiply(x, x, out=cols[0::2])
         cols[1::2] = 0
-        np.left_shift(x, 1, out=doubled)
+        np.left_shift(x, np.uint64(1), out=doubled)
         for i in range(k - 1):
             cross = row[:k - 1 - i]
             np.multiply(doubled[i], x[i + 1:], out=cross)
             cols[2 * i + 1:i + k] += cross
-        return reduce(cols)
+        return self._reduce(cols)
 
-    table = np.empty((8, k, len(bases)), dtype=np.uint64)  # a, a^3, ..., a^15 times R mod n
-    table[0] = product(_to_limbs(bases, k), _to_limbs([(1 << 2 * _LIMB_BITS * k) % n], k))
+
+def _fermat_liars(limbs: np.ndarray, n: int) -> np.ndarray:
+    """The mask pow(a, n - 1, n) == 1 over the bases a given as the columns
+    of limbs (k = _limb_count(n) rows), for an odd n >= 3 and every
+    0 <= a < n, from one Montgomery exponentiation run over all bases at
+    once by _Montgomery.
+
+    The exponent n - 1 is walked from the top in sliding windows of at
+    most 4 bits that start and end with a one (Menezes, van Oorschot and
+    Vanstone 1996, section 14.6): each bit costs a squaring and each
+    window one product with a precomputed odd power a, a^3, ..., a^15, so
+    a 128-bit n takes about 160 products where bit by bit takes about 192.
+    A base is a liar when REDC(x, 1) = 1.
+    """
+    import numpy as np
+
+    mont = _Montgomery(n, limbs.shape[1])
+    k, product, square = mont.k, mont.product, mont.square
+    table = np.empty((8, k, limbs.shape[1]), dtype=np.uint64)  # a, a^3, ..., a^15 times R mod n
+    table[0] = product(limbs, _to_limbs([(1 << 2 * _LIMB_BITS * k) % n], k))
     base_squared = square(table[0]).copy()
     for j in range(1, 8):
         table[j] = product(table[j - 1], base_squared)
@@ -276,22 +415,36 @@ def _fermat_liars(bases: list[int], n: int) -> np.ndarray:
     for _ in range(len(exponent) - done):
         x = square(x)
     x = product(x, _to_limbs([1], k))
-    return (x[0] == 1) & ~x[1:].any(axis=0)
+    return (x[0] == np.uint64(1)) & ~x[1:].any(axis=0)
 
 
-def _to_limbs(values: list[int], k: int) -> np.ndarray:
-    """values, each below 2^(28k), as k rows of 28-bit limbs, low limb first."""
-    import numpy as np
+def _product_tree(limbs: np.ndarray, n: int) -> int:
+    """A number with the same gcd with n as the product of the columns of
+    limbs, each column a value below 2n, for an odd n >= 3.
 
-    pairs = (k + 1) // 2  # two limbs per 7 bytes
-    raw = b"".join(v.to_bytes(7 * pairs, "little") for v in values)
-    words = np.zeros((len(values), pairs, 8), dtype=np.uint8)
-    words[..., :7] = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), pairs, 7)
-    words = words.view("<u8")[..., 0].T
-    limbs = np.empty((2 * pairs, len(values)), dtype=np.uint64)
-    limbs[0::2] = words & np.uint64(_LIMB_MASK)
-    limbs[1::2] = words >> np.uint64(_LIMB_BITS)
-    return limbs[:k]
+    Each level multiplies the left half of the columns by the right half
+    with _Montgomery's product, setting aside an odd column out. A product
+    carries a factor 1/R mod n, a unit since R is a power of 2, so no gcd
+    with n changes. From 32 columns on, Python ints finish the product.
+    """
+    mont = _Montgomery(n, limbs.shape[1] // 2)
+    x, values = limbs, []
+    while x.shape[1] > 32:
+        half = x.shape[1] // 2
+        values += _columns(x[:, 2 * half:])
+        x = mont.product(x[:, :half], x[:, half:2 * half])
+    product = 1
+    for value in values + _columns(x):
+        product = product * value % n
+    return product
+
+
+def _columns(limbs: np.ndarray) -> list[int]:
+    """The values of the columns of limbs as Python ints."""
+    values = [0] * limbs.shape[1]
+    for row in limbs[::-1].tolist():
+        values = [value << _LIMB_BITS | limb for value, limb in zip(values, row)]
+    return values
 
 
 def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bool:

@@ -73,7 +73,7 @@ UNLOADED_AFTER = {
                                "carmlab.bound", "carmlab.bench", "carmlab.reproduce"),
     "bound 561": ("carmlab.detector", "carmlab.census", "carmlab.accuracy",
                   "carmlab.bench", "carmlab.reproduce", "numpy"),
-    "model --bits 64": ("carmlab.korselt", "carmlab.bound", "carmlab.bench",
+    "model --bits 64": ("carmlab.census", "carmlab.korselt", "carmlab.bound", "carmlab.bench",
                         "carmlab.reproduce", "numpy"),
     "reproduce --table 2": ("carmlab.detector", "carmlab.accuracy", "carmlab.bench"),
 }

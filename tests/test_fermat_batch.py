@@ -10,13 +10,15 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from conftest import builtin_calls_by_module
 from hypothesis import given
 from hypothesis import strategies as st
 
 from carmlab.detector import (_BATCH, _BATCH_MAX_BITS, _BATCH_MIN, _LIMB_BITS, DetectorConfig,
-                              _fermat_liars, _sample_witnesses, default_sample_size,
+                              _base_limbs, _fermat_liars, _limb_count, _product_tree,
+                              _sample_witnesses, _to_limbs, default_sample_size,
                               detect_carmichael_general)
 from carmlab.korselt import chernick
 from carmlab.randutil import uniform_below
@@ -27,6 +29,11 @@ def fermat_witnesses(n: int, t: int, seed: int) -> list[int]:
     rng = random.Random(seed)
     draws = [1 + uniform_below(rng, n - 1) for _ in range(t)]
     return [a for a in draws if pow(a, n - 1, n) != 1]
+
+
+def kernel_liars(bases: list[int], n: int) -> list[bool]:
+    """_fermat_liars over bases given as Python ints."""
+    return _fermat_liars(_to_limbs(bases, _limb_count(n)), n).tolist()
 
 
 def detector_calls(builtin, fn, *args) -> int:
@@ -62,14 +69,14 @@ class TestKernel:
     @given(modulus_and_bases())
     def test_matches_pow(self, case):
         n, bases = case
-        assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
+        assert kernel_liars(bases, n) == [pow(a, n - 1, n) == 1 for a in bases]
 
     # the odd n from 3 to 33 have exponents of 2 to 6 bits, around one 4-bit window
     @pytest.mark.parametrize("n", sorted({243, 561, 1105, 1729, 2821, 3 * 5 * 7, 7**3 * 11}
                                          | set(range(3, 34, 2))))
     def test_every_base_of_small_moduli(self, n):
         bases = list(range(n))
-        assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
+        assert kernel_liars(bases, n) == [pow(a, n - 1, n) == 1 for a in bases]
 
     @pytest.mark.parametrize("m", [16, 61, 62, 63, 64, 127])
     @pytest.mark.parametrize("family", WINDOW_STRESS)
@@ -78,13 +85,13 @@ class TestKernel:
         n = WINDOW_STRESS[family](m)
         rng = random.Random(m)
         bases = [1, 2, n - 2, n - 1] + [rng.randrange(n) for _ in range(40)]
-        assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
+        assert kernel_liars(bases, n) == [pow(a, n - 1, n) == 1 for a in bases]
 
     def test_a_chernick_number_whose_units_are_all_liars(self):
         n = chernick(640341253625)  # 128 bits, (6m+1)(12m+1)(18m+1)
         rng = random.Random(5)
         bases = [1 + uniform_below(rng, n - 1) for _ in range(600)] + [6 * 640341253625 + 1]
-        liars = _fermat_liars(bases, n).tolist()
+        liars = kernel_liars(bases, n)
         assert liars == [pow(a, n - 1, n) == 1 for a in bases]
         assert liars[-1] is False and liars.count(True) >= 590
 
@@ -96,7 +103,7 @@ class TestKernel:
         top = 1 << (bits - 1)
         for n in (2 * top - 1, top + 1, rng.getrandbits(bits) | top | 1):
             bases = [1, 2, n - 2, n - 1] + [rng.randrange(n) for _ in range(40)]
-            assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
+            assert kernel_liars(bases, n) == [pow(a, n - 1, n) == 1 for a in bases]
 
     def test_column_sums_fit_uint64_at_the_largest_routed_modulus(self):
         # A column of the Montgomery product sums k limb products from x * y,
@@ -113,8 +120,50 @@ class TestKernel:
         assert products + carry < 1 << 64
         n = (1 << _BATCH_MAX_BITS) - 1
         bases = [n - 1, n - 2, (1 << (_BATCH_MAX_BITS - 1)) - 1, 1]
-        assert _fermat_liars(bases, n).tolist() == [pow(a, n - 1, n) == 1 for a in bases]
+        assert kernel_liars(bases, n) == [pow(a, n - 1, n) == 1 for a in bases]
 
+
+
+class TestBlockLimbs:
+    @pytest.mark.parametrize("bits", [33, 64, 65, 127, 128, 129, 1024])
+    def test_one_plus_each_row_with_every_carry(self, bits):
+        # 1 + v carries out of one limb, out of a 64-bit chunk, and through
+        # every limb up to the top one
+        n = (1 << bits) + 1
+        w, k = -(-bits // 32), _limb_count(n)
+        values = [0, 1, (1 << _LIMB_BITS) - 1, (1 << 56) - 1, (1 << 64) - 1,
+                  (1 << bits) - 1, (1 << bits) - 2, random.Random(bits).getrandbits(bits)]
+        values = [v for v in values if v < n - 1]
+        raw = b"".join(v.to_bytes(4 * w, "little") for v in values)
+        words = np.frombuffer(raw, dtype="<u4").reshape(len(values), w)
+        assert (_base_limbs(words, k) == _to_limbs([1 + v for v in values], k)).all()
+
+    @pytest.mark.parametrize("n, factor", [(3 * 5 * 7, 7), (561, 17),
+                                           (chernick(640341253625), 6 * 640341253625 + 1),
+                                           ((1 << 1024) - 1, 3)])
+    def test_product_tree_keeps_the_gcd(self, n, factor):
+        # widths that leave an odd column out at some level
+        rng = random.Random(n)
+        k = _limb_count(n)
+        for count in (600, 777, 1001, 2 * _BATCH_MIN + 1):
+            bases = [rng.randrange(1, n) for _ in range(count)]
+            for planted in (None, factor * rng.randrange(1, n // factor)):
+                if planted:
+                    bases[rng.randrange(count)] = planted
+                want = math.gcd(math.prod(bases) % n, n)
+                assert math.gcd(_product_tree(_to_limbs(bases, k), n), n) == want
+                assert want != 1 or planted is None
+
+
+    @pytest.mark.parametrize("count", [600, 777, 1001])
+    def test_product_tree_reads_every_column(self, count):
+        # a single base sharing a factor with n, at each position in turn,
+        # including those left over as an odd column out
+        n = 561
+        for position in range(count):
+            bases = [2] * count
+            bases[position] = 17
+            assert math.gcd(_product_tree(_to_limbs(bases, 1), n), n) == 17, position
 
 # a 64-bit semiprime: its proof attempt makes one draw, a coprime witness
 SEMIPRIME_64 = 12186276502464459599
