@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
-from .errors import CapExceededError, DomainError, integer
+from .errors import CapExceededError, DomainError, integer, rational
 from .factoring import Factorization
 
 if TYPE_CHECKING:
@@ -122,10 +122,8 @@ def _posterior_report(model: str, t: int, threshold, bit_length: int,
                       fraction_A, fraction_B) -> AccuracyReport:
     t, bit_length = integer("t", t, 1), integer("bit_length", bit_length, 8)
     thr = DetectorConfig(threshold=threshold).threshold
-    fa = Fraction(1, 2) if fraction_A is None else Fraction(fraction_A)
-    fb = Fraction(1, 2) if fraction_B is None else Fraction(fraction_B)
-    if not (0 <= fa <= 1 and 0 <= fb <= 1):
-        raise DomainError("fraction_A and fraction_B must lie in [0, 1]")
+    fa = Fraction(1, 2) if fraction_A is None else rational("fraction_A", fraction_A, 0, 1)
+    fb = Fraction(1, 2) if fraction_B is None else rational("fraction_B", fraction_B, 0, 1)
     if fa + fb > 1:
         raise DomainError("fraction_A + fraction_B cannot exceed 1")
     from mpmath import mp, mpf
@@ -247,12 +245,8 @@ def binomial_tail_exact(threshold, t: int, witness_fraction) -> Fraction:
     Companion to the normal approximation so the approximation error is
     itself measurable; integer arithmetic keeps it exact up to t = 10^4.
     """
-    t = integer("t", t)
-    if not 1 <= t <= _EXACT_TAIL_MAX_T:
-        raise DomainError(f"exact tail supports 1 <= t <= {_EXACT_TAIL_MAX_T}, got {t}")
-    w = Fraction(witness_fraction)
-    if not 0 <= w <= 1:
-        raise DomainError(f"witness_fraction must lie in [0, 1], got {witness_fraction}")
+    t = integer("t", t, 1, _EXACT_TAIL_MAX_T)
+    w = rational("witness_fraction", witness_fraction, 0, 1)
     thr = DetectorConfig(threshold=threshold).threshold
     top = math.ceil(thr * t) - 1  # largest k with k/t < threshold
     num, den = w.numerator, w.denominator

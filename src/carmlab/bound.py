@@ -54,9 +54,12 @@ def bound_curve(a, n: int) -> mpf:
     from mpmath import mp, mpf
 
     with mp.workprec(_PRECISION_BITS):
-        point = mpf(a)
-        if point < 1:
-            raise DomainError(f"a must be >= 1, got {a}")
+        try:
+            point = mpf(a)
+        except (TypeError, ValueError):
+            point = mp.nan  # refused below, as are the infinities
+        if not 1 <= point < mp.inf:
+            raise DomainError(f"a must be a finite real >= 1, got {a!r}")
         return _curve(point, _half_exponent(n))
 
 

@@ -18,6 +18,7 @@ it does not use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,8 +37,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _FLOAT_INT_LIMIT = 1 << 53
-# largest power a flag may spell, e.g. 2**1024 or --bits; 14,000 bits is
-# 4,215 decimal digits, within what str() of an int may print
+# bits of the largest integer a flag may spell, as a decimal, a power or --bits;
+# 14,000 bits is 4,215 decimal digits, within what str() of an int may print
 _MAX_INPUT_BITS = 14_000
 # the library's DEFAULT_THRESHOLD and DEFAULT_BIT_LENGTHS as argparse passes
 # string defaults through `type`, so the parser loads neither detector nor bench
@@ -49,10 +50,11 @@ def _parse_int(text: str) -> int:
     """Sizes accept 10000000, 10_000_000, 10**7, and 1e7."""
     # leading zeros count toward int()'s 4,300-digit limit, not the value
     s = re.sub(r"^([+-]?)0+(?=\d)", r"\1", text.strip().replace(",", "_"))
-    try:
-        return int(s)
-    except ValueError:
-        pass
+    with contextlib.suppress(ValueError):
+        value = int(s)
+        if value.bit_length() > _MAX_INPUT_BITS:
+            raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
+        return value
     try:
         if "**" in s:
             base, exponent = (int(part) for part in s.split("**", 1))
@@ -65,15 +67,15 @@ def _parse_int(text: str) -> int:
         value = float(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+    digits = s.lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
+        # written out, but too long for int(): at least 10^4300 > 2^14000
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
+    if not value.is_integer():  # NaN and the infinities too
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if abs(value) > _FLOAT_INT_LIMIT:
-        digits = s.lstrip("+-").replace("_", "").lstrip("0")
-        if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
-            # written out, but too long for int(): at least 10^4300 > 2^14000
-            raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
         raise argparse.ArgumentTypeError(
             f"{text!r} exceeds exact float range; write the integer out")
-    if value != int(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(value)
 
 

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import natural_log_squared_floor
-from .errors import DomainError, integer
+from .errors import DomainError, integer, rational
 from .factoring import PrimalityCheck, prime_check
 from .randutil import uniform_below
 
@@ -113,13 +113,9 @@ class DetectorConfig:
         if self.t_override is not None:
             object.__setattr__(self, "t_override", integer("t", self.t_override, 1))
         object.__setattr__(self, "rng_seed", integer("seed", self.rng_seed))
-        try:
-            threshold = Fraction(self.threshold)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"threshold must be a rational, got {self.threshold!r}") from None
-        if not 0 < threshold < 1:
-            raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "threshold", rational("threshold", self.threshold))
+        if not 0 < self.threshold < 1:
+            raise DomainError(f"threshold must lie in (0, 1), got {self.threshold}")
 
     def sample_size(self, n: int) -> int:
         return self.t_override if self.t_override is not None else default_sample_size(n)

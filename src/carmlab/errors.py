@@ -1,12 +1,13 @@
-"""Shared exception types and the one integer argument check.
+"""Shared exception types and the one argument check for each numeric kind.
 
-Integer arguments accept ints and numpy integers; anything else raises
-DomainError naming the argument.
+Integer arguments accept ints and numpy integers, rational ones whatever Fraction()
+converts; anything else, or a value out of bounds, raises DomainError naming the argument.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -21,13 +22,24 @@ class FactorizationError(RuntimeError):
     """Factoring ran out of budget on a composite it could not split."""
 
 
-def integer(name: str, value, minimum: int | None = None) -> int:
-    """value as a Python int, numpy integers included; DomainError naming
-    the argument when value is not an integer or is below minimum."""
+def integer(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as a Python int, numpy integers included, in [minimum, maximum]."""
+    return _gate(name, "an integer", operator.index, value, minimum, maximum)
+
+
+def rational(name: str, value, low=None, high=None) -> Fraction:
+    """value as an exact Fraction in [low, high]; refuses NaN, infinities, "1/0", None."""
+    value = _gate(name, "a rational", Fraction, value, low, high)
+    return Fraction(int(value.numerator), int(value.denominator))  # numpy numerators overflow
+
+
+def _gate(name: str, kind: str, convert, value, low, high):
     try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        value = convert(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"{name} must be {kind}, got {value!r}") from None
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be <= {high}, got {value}")
     return value

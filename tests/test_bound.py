@@ -43,8 +43,10 @@ class TestCurve:
         assert rel_err(value, REF_561["f_at_x1"]) < mpf("1e-20")
 
     def test_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            bound_curve(0.5, 561)
+        for a in (0.5, float("nan"), float("inf"), float("-inf"), mpf("nan"), mpf("inf"),
+                  None, "x", Fraction(3, 2)):
+            with pytest.raises(DomainError, match="^a must be a finite real >= 1, got "):
+                bound_curve(a, 561)
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):

@@ -462,6 +462,10 @@ class TestIntegerParsing:
     def test_rejects_non_integer(self, capsys):
         with pytest.raises(SystemExit):
             main(["enumerate", "--limit", "1.5"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", "nan"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "'nan' is not an integer" in capsys.readouterr().err
 
     def test_power_size_checked_before_computing(self, capsys):
         assert _parse_int("2**1024") == 1 << 1024
@@ -473,14 +477,17 @@ class TestIntegerParsing:
 
     def test_too_long_decimal_exceeds_bits(self, capsys):
         # int() refuses a decimal past 4,300 digits; it still spells an integer
-        for text in ("7" * 4400, "-" + "7" * 4400, "7_" * 4400 + "7"):
+        # so is a shorter one past 14,000 bits, where a ** spelling stops too
+        for text in ("7" * 4400, "-" + "7" * 4400, "7_" * 4400 + "7", "7" * 4250,
+                     str(2**_MAX_INPUT_BITS), "-" + str(2**_MAX_INPUT_BITS)):
             with pytest.raises(argparse.ArgumentTypeError, match="14000 bits"):
                 _parse_int(text)
+        assert _parse_int(str(2**_MAX_INPUT_BITS - 1)) == 2**_MAX_INPUT_BITS - 1
         assert _parse_int("0" * 4400 + "7") == 7
         # padded past that limit, a value above 2^53 still parses exactly
         assert _parse_int("0" * 4400 + "9007199254740993") == 9007199254740993
         assert _parse_int("-" + "0" * 4400 + "9007199254740993") == -9007199254740993
-        for text in ("_1", "1.5", "0x10"):
+        for text in ("_1", "1.5", "0x10", "nan", "inf", "-inf"):
             with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
                 _parse_int(text)
         with pytest.raises(SystemExit) as exit_info:

@@ -4,7 +4,9 @@ import json
 import math
 import numbers
 import random
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from carmlab import korselt
 from carmlab.accuracy import (binomial_tail_exact, carmichael_prior,
                               empirical_proportion_distribution, posterior_composite_given,
-                              prime_prior)
+                              posterior_general, prime_prior)
 from carmlab.arith import natural_log_squared_floor
 from carmlab.bench import composite_for_bits, run_benchmark
 from carmlab.bound import bound_closed_form, bound_curve, prime_factor_bound
@@ -396,6 +398,89 @@ class TestIntegerArguments:
         assert chernick(np.int32(1)) == 1729
         assert enumerate_carmichael(np.int64(2000)) == [561, 1105, 1729]
         assert enumerate_carmichael_range(np.int64(560), np.uint32(1106)) == [561, 1105]
+
+
+class TestRationalArguments:
+    """Every rational argument of the library passes through errors.rational:
+    a table of fn(*args(value)) calls, one per gated argument, and kept(result),
+    the Fraction the call stored; the exact tail stores none, so its kept
+    value is the tail itself."""
+
+    CALLS = [(DetectorConfig, "threshold", lambda v: (None, v), lambda r: r.threshold),
+             (posterior_composite_given, "threshold", lambda v: (40, v),
+              lambda r: r.threshold),
+             (posterior_general, "threshold", lambda v: (40, v), lambda r: r.threshold),
+             (posterior_composite_given, "fraction_A", lambda v: (40, Fraction(9, 20), 64, v),
+              lambda r: r.fraction_A),
+             (posterior_general, "fraction_A", lambda v: (40, Fraction(9, 20), 64, v),
+              lambda r: r.fraction_A),
+             (posterior_composite_given, "fraction_B",
+              lambda v: (40, Fraction(9, 20), 64, None, v), lambda r: r.fraction_B),
+             (posterior_general, "fraction_B", lambda v: (40, Fraction(9, 20), 64, None, v),
+              lambda r: r.fraction_B),
+             (binomial_tail_exact, "threshold", lambda v: (v, 40, Fraction(1, 2)), None),
+             (binomial_tail_exact, "witness_fraction", lambda v: (Fraction(9, 20), 40, v),
+              None)]
+    # an int inside each closed domain; a threshold's (0, 1) holds none
+    INTEGER = {"fraction_A": 0, "fraction_B": 0, "witness_fraction": 1}
+
+    @pytest.mark.parametrize("value", ["abc", float("nan"), float("inf"), float("-inf"),
+                                       "1/0", np.float32(0.25), None])
+    @pytest.mark.parametrize("fn, name, args, kept", CALLS)
+    def test_non_rationals_rejected(self, fn, name, args, kept, value):
+        if value is None and name.startswith("fraction_"):  # the default, the worst case
+            assert kept(fn(*args(value))) == Fraction(1, 2)
+            return
+        message = f"^{re.escape(f'{name} must be a rational, got {value!r}')}$"
+        with pytest.raises(DomainError, match=message):
+            fn(*args(value))
+
+    @pytest.mark.parametrize("fn, name, args, kept", CALLS)
+    def test_exact_fraction_kept(self, fn, name, args, kept):
+        values = [Fraction(9, 20), 0.45, np.float64(0.45), Decimal("0.45"), "9/20"]
+        if name in self.INTEGER:
+            values.append(self.INTEGER[name])
+        for value in values:
+            result = fn(*args(value))
+            if kept is None:  # the tail equals the tail at the exact Fraction
+                got, want = result, fn(*args(Fraction(value)))
+            else:
+                got, want = kept(result), Fraction(value)
+            assert got == want and type(got) is Fraction
+            assert leaked_integers(got) == []
+
+    @pytest.mark.parametrize("fn, name, args, kept", CALLS)
+    def test_bounds(self, fn, name, args, kept):
+        if name == "threshold":
+            refusals = {0: "threshold must lie in (0, 1), got 0",
+                        1: "threshold must lie in (0, 1), got 1",
+                        "3/2": "threshold must lie in (0, 1), got 3/2"}
+        else:
+            refusals = {"-1/2": f"{name} must be >= 0, got -1/2",
+                        Fraction(3, 2): f"{name} must be <= 1, got 3/2"}
+        for value, message in refusals.items():
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                fn(*args(value))
+
+    def test_numpy_integers_give_python_ints(self):
+        # Fraction(np.int64(1)) keeps a numpy numerator, which overflowed
+        # the exact tail's powers and could not be written as JSON
+        assert binomial_tail_exact(Fraction(9, 20), 100, np.int64(1)) == 0
+        report = posterior_general(40, fraction_A=np.int64(0), fraction_B=np.int64(1))
+        assert leaked_integers(report) == []
+        json.dumps(report.to_json_dict())
+        threshold = DetectorConfig(threshold=Fraction(np.int64(9), np.int64(20))).threshold
+        assert threshold == Fraction(9, 20) and leaked_integers(threshold) == []
+
+
+def test_integer_maximum_names_the_argument():
+    for call, message in ((lambda: classify_witness(1000, 1000), "a must be <= 999, got 1000"),
+                          (lambda: classify_witness(0, 1000), "a must be >= 1, got 0"),
+                          (lambda: binomial_tail_exact(Fraction(9, 20), 10_001, Fraction(1, 2)),
+                           "t must be <= 10000, got 10001")):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+    assert classify_witness(999, 1000).value == "NonTrivialWitness"  # a = n - 1 is in range
 
 
 class TestCertificateType:
