@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
 from .errors import CapExceededError, DomainError, integer, rational
-from .factoring import Factorization
+from .factoring import Factorization, prime_check
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -216,9 +216,10 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
         raise CapExceededError(f"t * trials = {t * trials} draws exceeds the cap of "
                                f"{HISTOGRAM_DRAW_CAP}")
     rng = random.Random(seed)
+    check = prime_check(n)
     counts = [0] * (t + 1)
     for _ in range(trials):
-        counts[len(_sample_witnesses(n, t, rng))] += 1
+        counts[len(_sample_witnesses(n, t, rng, check))] += 1
     mean = sum(k * c for k, c in enumerate(counts)) / (t * trials)
     variance = sum(c * (k / t - mean) ** 2 for k, c in enumerate(counts))
     variance /= (trials - 1) if trials > 1 else 1

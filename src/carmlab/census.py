@@ -4,12 +4,13 @@ count_A counts bases with a^(n-1) == 1 (mod n), count_B the coprime
 ("non-trivial") witnesses, count_C the witnesses sharing a factor with n.
 Two methods give the same counts, and neither uses the other, so each is
 an oracle for the other.  Brute force, up to a fixed cap, finds the
-residue a^(n-1) mod n of every base, 0 when gcd(a, n) > 1, without
-factoring n, by one powmod per prime base and, a -> a^(n-1) mod n being
-completely multiplicative, strided sweeps over the sieving primes for the
-composites.  The exact census derives the counts from the factorization
-of any n >= 3 by Monier's formula.  Proportions are exact rationals with
-denominator n - 1; decimals appear only at display time.
+residue a^(n-1) mod n of every odd base, 0 when gcd(a, n) > 1, without
+factoring n, by one powmod per odd prime base and, a -> a^(n-1) mod n being
+completely multiplicative, strided sweeps over the odd sieving primes for
+the odd composites; an even base is counted from its odd part.  The exact
+census derives the counts from the factorization of any n >= 3 by
+Monier's formula.  Proportions are exact rationals with denominator
+n - 1; decimals appear only at display time.
 """
 
 from __future__ import annotations
@@ -85,14 +86,18 @@ def census_brute_force(n: int) -> WitnessCensus:
     """Exact counts from the residue a^(n-1) mod n of every base 1 <= a < n.
 
     No factorization of n is used, so this census is an oracle apart from
-    census_exact and Monier's formula.  As a -> a^(n-1) mod n is completely
-    multiplicative, only prime bases pay a powmod and a composite a takes
-    the product of the residues of its least prime p and of a / p; a prime
-    dividing n reads 0, and so do its multiples.  For odd n,
+    census_exact and Monier's formula.  For odd n,
     (n - a)^(n-1) = a^(n-1) and gcd(n - a, n) = gcd(a, n), so only the bases
-    up to (n - 1) / 2 are evaluated, and their counts doubled.  The one
-    table, the residue, takes 4 bytes per evaluated base; primes_up_to's
-    sieve flags, half a byte per base, are freed before it is made.
+    up to top = (n - 1) / 2 are evaluated, and their counts doubled; an even
+    n evaluates all of them, top = n - 1.  _fermat_residues stores the
+    residues of the odd bases only.  As f(a) = a^(n-1) mod n is completely
+    multiplicative, an even base a = 2^j o of an odd n has f(a) = f(2)^j f(o),
+    so it is a liar exactly when f(o) = g^j with g = f(2)^(-1) mod n, and
+    shares a factor with n exactly when f(o) = 0: for each j the odd o up to
+    top >> j, a prefix of the table, are counted against g^j and 0.  Every
+    even base of an even n shares 2 with n.  The table takes 4 bytes per odd
+    base, 2 per evaluated base; primes_up_to's sieve flags, half a byte per
+    base, are freed before it is made.
     """
     n = integer("n", n, 3)
     if n > DEFAULT_BRUTE_FORCE_CAP:
@@ -104,34 +109,45 @@ def census_brute_force(n: int) -> WitnessCensus:
     top = n - 1 if n % 2 == 0 else (n - 1) // 2
     residue = _fermat_residues(n, top)
     count_a = int(np.count_nonzero(residue == 1))
-    count_c = int(np.count_nonzero(residue == 0)) - 1  # residue[0] is 0
-    if n % 2:
+    count_c = int(np.count_nonzero(residue == 0))
+    if n % 2 == 0:
+        count_c += (n - 1) // 2
+    else:
+        g = pow(pow(2, n - 1, n), -1, n)
+        g_j = 1
+        for j in range(1, top.bit_length()):
+            g_j = g_j * g % n
+            prefix = residue[:((top >> j) + 1) // 2]
+            count_a += int(np.count_nonzero(prefix == g_j))
+            count_c += int(np.count_nonzero(prefix == 0))
         count_a, count_c = 2 * count_a, 2 * count_c
     return WitnessCensus(n, count_a, n - 1 - count_a - count_c, count_c,
                          CensusMethod.BRUTE_FORCE)
 
 
 def _fermat_residues(n: int, top: int) -> np.ndarray:
-    """a^(n-1) mod n if gcd(a, n) = 1, else 0, for every base 0 <= a <= top < n.
+    """a^(n-1) mod n if gcd(a, n) = 1, else 0, for every odd base 1 <= a <= top < n,
+    at index (a - 1) / 2.
 
-    The primes up to top come from primes_up_to, whose odd-only sieve
+    The odd primes up to top come from primes_up_to, whose odd-only sieve
     flags are freed when it returns, and get their powmods _CHUNK at a
-    time, each product reduced in place by _reduce; a prime dividing n
-    then gets residue 0.  Each sieving prime p, largest first,
-    sets residue[p m] = residue[p] residue[m] for m >= p (odd m when p is
-    odd) in sub-ranges [lo, min(p lo, lo + _CHUNK)) that keep sources below
-    targets, so a composite is last written at its least prime p, from a
-    cofactor whose least prime is at least p and whose residue is final;
-    a unit's residue is a unit mod n, so never 0.
+    time, each product reduced in place by _reduce; an odd prime dividing n
+    then gets residue 0.  Each odd sieving prime p, largest first, sets the
+    residue of p m from those of p and m for odd m >= p: the source index j
+    of m maps to p j + (p - 1) / 2, in sub-ranges
+    [lo, min(p lo + (p - 1) / 2, lo + _CHUNK, end)) that keep sources below
+    targets, so an odd composite is last written at its least prime p,
+    from a cofactor whose least prime is at least p and whose residue is
+    final; a unit's residue is a unit mod n, so never 0.
     """
     import numpy as np
 
-    primes = primes_up_to(top)
-    residue = np.empty(top + 1, dtype=np.uint32)
-    residue[:2] = 0, 1
+    odd_primes = primes_up_to(top)[1:]
+    residue = np.empty((top + 1) // 2, dtype=np.uint32)
+    residue[0] = 1
     modulus = np.uint64(n)
-    for start in range(0, len(primes), _CHUNK):
-        batch = primes[start:start + _CHUNK]
+    for start in range(0, len(odd_primes), _CHUNK):
+        batch = odd_primes[start:start + _CHUNK]
         bases = batch.astype(np.uint64)
         power = np.ones_like(bases)
         e = n - 1
@@ -143,26 +159,25 @@ def _fermat_residues(n: int, top: int) -> np.ndarray:
             if e:
                 bases *= bases
                 _reduce(bases, modulus)
-        residue[batch] = power
-    residue[primes[n % primes == 0]] = 0
-    for p in primes[primes <= math.isqrt(top)][::-1].tolist():
-        lo, end = p, top // p + 1
+        residue[batch // 2] = power
+        residue[batch[n % batch == 0] // 2] = 0
+    for p in odd_primes[odd_primes <= math.isqrt(top)][::-1].tolist():
+        lo, end = p // 2, (top // p + 1) // 2
         while lo < end:
-            hi = min(p * lo, lo + _CHUNK, end)
+            hi = min(p * lo + p // 2, lo + _CHUNK, end)
             _census_chunk(p, lo, hi, residue, modulus)
             lo = hi
     return residue
 
 
 def _census_chunk(p: int, lo: int, hi: int, residue: np.ndarray, modulus: np.uint64) -> None:
-    """Set residue[p * m] for lo <= m < hi, odd m only when p is odd."""
+    """Set the residue of p m for the odd m at indices lo <= j < hi, at p j + (p - 1) / 2."""
     import numpy as np
 
-    step = 1 if p == 2 else 2
-    product = residue[lo:hi:step].astype(np.uint64)
-    product *= residue[p]
+    product = residue[lo:hi].astype(np.uint64)
+    product *= residue[p // 2]
     _reduce(product, modulus)
-    residue[p * lo:p * hi:p * step] = product
+    residue[p * lo + p // 2:p * hi:p] = product
 
 
 def _reduce(x: np.ndarray, modulus: np.uint64) -> None:

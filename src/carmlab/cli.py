@@ -22,6 +22,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import CapExceededError, DomainError, FactorizationError, integer
+from .errors import CapExceededError, DomainError, FactorizationError, integer, rational
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,7 +72,8 @@ def _parse_int(text: str) -> int:
     if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
         # written out, but too long for int(): at least 10^4300 > 2^14000
         raise argparse.ArgumentTypeError(f"{text!r} exceeds {_MAX_INPUT_BITS} bits")
-    if not value.is_integer():  # NaN and the infinities too
+    # NaN and the spellings of infinity are not integers; 1e400 is, but float() reads it as inf
+    if not value.is_integer() and not (math.isinf(value) and any(c.isdigit() for c in s)):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if abs(value) > _FLOAT_INT_LIMIT:
         raise argparse.ArgumentTypeError(
@@ -86,9 +88,9 @@ def _parse_bit_lengths(text: str) -> tuple[int, ...]:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from exc
+        return rational("value", text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -154,13 +154,14 @@ class Verdict:
                 "seed": self.seed, "probabilistic": self.probabilistic}
 
 
-def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
+def _sample_witnesses(n: int, t: int, rng: random.Random, check: PrimalityCheck) -> list[int]:
     """The Fermat witnesses among t bases drawn from {1, ..., n-1} on rng;
     the detector and the accuracy histogram both sample through it.
 
-    The first draws go to _proves_carmichael, one uniform_below each. The
-    remaining draws are then taken _BATCH at a time. When n is odd with at
-    most _BATCH_MAX_BITS bits and a batch holds at least _BATCH_MIN draws,
+    The first draws go to _proves_carmichael, one uniform_below each, with
+    check, the caller's prime_check(n). The remaining draws
+    are then taken _BATCH at a time. When n is odd with at most
+    _BATCH_MAX_BITS bits and a batch holds at least _BATCH_MIN draws,
     _uniform_words draws it as one block of Mersenne Twister words, which
     become numpy limbs without a Python int per draw. If n was proven
     Carmichael, a base is a witness exactly when it shares a factor with n:
@@ -175,7 +176,8 @@ def _sample_witnesses(n: int, t: int, rng: random.Random) -> list[int]:
     """
     order = iter(range(t))
     witnesses: list[int] = []
-    proven = _proves_carmichael(n, (1 + uniform_below(rng, n - 1) for _ in order), witnesses)
+    proven = _proves_carmichael(n, (1 + uniform_below(rng, n - 1) for _ in order), witnesses,
+                                check)
     left = t - next(order, t)  # the draws the proof attempt did not make
     routed = n % 2 and n.bit_length() <= _BATCH_MAX_BITS
     while left:
@@ -443,7 +445,8 @@ def _columns(limbs: np.ndarray) -> list[int]:
     return values
 
 
-def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bool:
+def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int],
+                       check: PrimalityCheck) -> bool:
     """Fermat-test draws until they prove n Carmichael (True) or show that
     they cannot (False), appending the witnesses met on the way.
 
@@ -456,11 +459,12 @@ def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int]) -> bo
     prime, Korselt's criterion decides on those primes, which multiply to
     n: it is squarefree when none repeats. A factor that is only probably
     prime ends the attempt, and so does a prime n, on its first draw.
+    check is prime_check(n), which is then not made again.
     """
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     factors = [n]
-    checks: dict[int, PrimalityCheck] = {}
+    checks = {n: check}
     for a in draws:
         x = pow(a, d, n)
         splitters = [x - 1]
@@ -512,7 +516,7 @@ def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verd
     if check.is_prime:
         basis = Basis.PROBABLE_PRIME if check.probabilistic else Basis.DETERMINISTIC_PRIMALITY
         return Verdict(label=Label.PRIME, basis=basis, witnesses_found=0, evidence=None, **common)
-    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed))
+    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed), check)
     common["witnesses_found"] = len(witnesses)
     if Fraction(len(witnesses), t) < cfg.threshold:
         return Verdict(label=Label.CARMICHAEL, basis=Basis.PROPORTION_BELOW_THRESHOLD,

@@ -7,7 +7,16 @@ converts; anything else, or a value out of bounds, raises DomainError naming the
 from __future__ import annotations
 
 import operator
+import re
+from decimal import Decimal
 from fractions import Fraction
+
+# Fraction() of a decimal string or Decimal builds 10^k for its k decimal places, or for
+# a positive exponent k, which takes seconds at k = 10^7; and str() refuses an int of
+# more than 4,300 digits by default. Beyond this bound a value is refused first, so that
+# every accepted denominator can be written out.
+_MAX_DECIMAL_SCALE = 4_000
+_DECIMAL = re.compile(r"\s*[-+]?\d*(?:_\d+)*(?:\.(\d*(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*\Z")
 
 
 class DomainError(ValueError):
@@ -28,9 +37,31 @@ def integer(name: str, value, minimum: int | None = None, maximum: int | None = 
 
 
 def rational(name: str, value, low=None, high=None) -> Fraction:
-    """value as an exact Fraction in [low, high]; refuses NaN, infinities, "1/0", None."""
+    """value as an exact Fraction in [low, high]; refuses NaN, infinities, "1/0", None,
+    and a string or Decimal with more than _MAX_DECIMAL_SCALE decimal places or a
+    larger exponent."""
+    if _scale_too_large(value):
+        raise DomainError(f"{name} must have at most {_MAX_DECIMAL_SCALE} decimal places and "
+                          f"an exponent of at most {_MAX_DECIMAL_SCALE}, got {value!r}")
     value = _gate(name, "a rational", Fraction, value, low, high)
     return Fraction(int(value.numerator), int(value.denominator))  # numpy numerators overflow
+
+
+def _scale_too_large(value) -> bool:
+    """Whether value is a string or Decimal whose decimal places or exponent exceed
+    _MAX_DECIMAL_SCALE, decided without building the power of ten."""
+    if isinstance(value, Decimal):
+        exponent = value.as_tuple().exponent  # a letter for NaN and the infinities
+        return isinstance(exponent, int) and abs(exponent) > _MAX_DECIMAL_SCALE
+    match = _DECIMAL.match(value) if isinstance(value, str) else None
+    if match is None:
+        return False
+    places, exponent = (group.replace("_", "") for group in match.groups(""))
+    digits = exponent.lstrip("+-").lstrip("0")
+    if len(digits) > len(str(_MAX_DECIMAL_SCALE)):
+        return True
+    shift = -int(digits or 0) if exponent.startswith("-") else int(digits or 0)
+    return max(shift, len(places) - shift) > _MAX_DECIMAL_SCALE
 
 
 def _gate(name: str, kind: str, convert, value, low, high):

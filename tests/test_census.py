@@ -30,6 +30,10 @@ def naive_census(n):
     return count_a, count_b, count_c
 
 
+def counts(census):
+    return census.count_A, census.count_B, census.count_C
+
+
 class TestClassifyWitness:
     def test_coprime_witness(self):
         assert classify_witness(2, 21) is WitnessKind.NON_TRIVIAL_WITNESS
@@ -90,12 +94,12 @@ class TestCensusBruteForce:
         assert DEFAULT_BRUTE_FORCE_CAP < 2**32
 
     def test_kernel_residues_and_units_below_600(self):
-        # a base sharing a factor with n reads 0, the residue of no unit, so the zeros
-        # are the non-units
+        # the table holds the odd bases a at index (a - 1) / 2; a base sharing a
+        # factor with n reads 0, the residue of no unit, so the zeros are the non-units
         for n in range(3, 600):
             residue = _fermat_residues(n, n - 1)
-            assert residue[1:].tolist() == [pow(a, n - 1, n) if math.gcd(a, n) == 1 else 0
-                                            for a in range(1, n)], n
+            assert residue.tolist() == [pow(a, n - 1, n) if math.gcd(a, n) == 1 else 0
+                                        for a in range(1, n, 2)], n
 
     # where the uint64 products come closest to 2^47 (the largest n under the
     # cap, odd and even), a power of two plus one, and a Carmichael number of
@@ -104,15 +108,47 @@ class TestCensusBruteForce:
     def test_kernel_residues_on_sampled_bases_at_large_n(self, n):
         top = n - 1 if n % 2 == 0 else (n - 1) // 2
         residue = _fermat_residues(n, top)
+        assert len(residue) == (top + 1) // 2
         rng = random.Random(n)
-        bases = [rng.randint(1, top) for _ in range(2000)]
-        assert [int(residue[a]) for a in bases] == \
+        bases = [rng.randrange(1, top + 1, 2) for _ in range(2000)]
+        assert [int(residue[a // 2]) for a in bases] == \
             [pow(a, n - 1, n) if math.gcd(a, n) == 1 else 0 for a in bases]
 
+    def test_even_bases_of_odd_n_where_top_meets_a_power_of_two(self):
+        # an even base 2^j o <= top = (n - 1) / 2 is counted from the odd o <= top >> j,
+        # so top at 2^j - 1, 2^j and 2^j + 1 adds, or not, the last j
+        for j in range(1, 22):
+            for top in (2**j - 1, 2**j, 2**j + 1):
+                n = 2 * top + 1
+                if n < 3:
+                    continue
+                want = naive_census(n) if n < 20_000 else counts(census_exact(n, factorize(n)))
+                assert counts(census_brute_force(n)) == want, n
+
+    def test_even_bases_where_two_is_a_liar(self):
+        # 2^(n-1) = 1 (mod n), so g = 1 and an even base is a liar when its odd part is
+        for n in (341, 561, 645, 1105, 1387, 1729, 2047):
+            assert pow(2, n - 1, n) == 1
+            assert counts(census_brute_force(n)) == naive_census(n), n
+
+    def test_even_bases_where_two_has_a_large_order(self):
+        # g = (2^(n-1) mod n)^(-1) has more distinct powers than there are j
+        for n in (1155, 1225, 2187, 3125, 9991, 9999, 12297, 15843):
+            residue2 = pow(2, n - 1, n)
+            order = next(k for k in range(1, n) if pow(residue2, k, n) == 1)
+            assert order > ((n - 1) // 2).bit_length(), n
+            assert counts(census_brute_force(n)) == naive_census(n), n
+
+    def test_even_n_with_odd_prime_factors(self):
+        # every even base of an even n shares 2 with it and has no table entry
+        for n in (6, 10, 30, 210, 2 * 561, 864, 2 * 3 * 5 * 7 * 11, 2 * 9973, 4 * 2047,
+                  2**7 * 3**4):
+            assert counts(census_brute_force(n)) == naive_census(n), n
+
     def test_peak_memory_where_the_prime_powmods_set_it(self):
-        # at this n the peak falls in the prime powmods: the residue, the primes
-        # and three uint64 arrays of _CHUNK primes (6.20 bytes per base); an
-        # out-of-place reduction keeps a fourth alive (6.73)
+        # at this n the peak falls in the prime powmods: the 4-byte residues of
+        # the odd bases (2 bytes per evaluated base), the primes and three uint64
+        # arrays of _CHUNK primes (4.27 bytes per base)
         n = 2_000_001
         census_brute_force(n)
         tracemalloc.start()
@@ -121,10 +157,12 @@ class TestCensusBruteForce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / ((n - 1) // 2) < 6.5
+        assert peak / ((n - 1) // 2) < 4.5
 
     def test_peak_memory_per_evaluated_base(self):
-        # the 4-byte residue is the one table left once the sieve flags are freed
+        # the residues of the odd bases, 2 bytes per evaluated base, are the one
+        # table left once the sieve flags are freed; the primes and one batch of
+        # prime powmods add 0.87 (2.89)
         n = 9_999_991
         census_brute_force(n)
         tracemalloc.start()
@@ -133,7 +171,7 @@ class TestCensusBruteForce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / ((n - 1) // 2) < 5.5
+        assert peak / ((n - 1) // 2) < 3.5
 
     def test_factors_nothing(self):
         # it stays an oracle for census_exact only while it never factors n
@@ -208,34 +246,32 @@ class TestCensusCarmichaelExact:
 class TestCensusExact:
     """Monier's formula against brute force, for every kind of n."""
 
-    @staticmethod
-    def counts(census):
-        return census.count_A, census.count_B, census.count_C
-
     @settings(max_examples=200)
     @given(st.integers(min_value=3, max_value=10**5 - 1))
     def test_matches_brute_force(self, n):
-        assert self.counts(census_exact(n, factorize(n))) == \
-            self.counts(census_brute_force(n))
+        assert counts(census_exact(n, factorize(n))) == \
+            counts(census_brute_force(n))
 
     def test_matches_brute_force_exhaustively_below_3000(self):
         for n in range(3, 3000):
-            assert self.counts(census_exact(n, factorize(n))) == \
-                self.counts(census_brute_force(n)), n
+            assert counts(census_exact(n, factorize(n))) == \
+                counts(census_brute_force(n)), n
 
     def test_matches_brute_force_around_chunk_edges(self):
-        # the sweep of p = 2 splits its m at 4, 8, ..., 2 * _CHUNK and then
-        # every _CHUNK, so its targets 2 m split at twice those; an even n
-        # evaluates bases up to n - 1 and an odd n up to (n - 1) / 2, so both
-        # parities reach each split in one of the windows, and an even n near
-        # 6 * _CHUNK crosses a split made by the _CHUNK bound (a second batch
-        # of _CHUNK prime powmods needs top >= 821647, tested at large n below)
+        # an odd n evaluates the bases up to top = (n - 1) / 2 and counts its even
+        # bases 2^j o from the prefixes of odd o <= top >> j, so near 2^k each
+        # prefix length ((top >> j) + 1) / 2 crosses a power of two; an even n
+        # stores its odd bases up to n - 1, and near 6 * _CHUNK the sweep of
+        # p = 3, over the odd m <= top / 3, ends near _CHUNK sources.  The _CHUNK
+        # bound itself splits a sub-range only from top = 924654 (p = 3), and a
+        # second batch of _CHUNK prime powmods needs top >= 821647; both are
+        # tested at large n below
         edges = [2**k for k in range(2, _CHUNK.bit_length())] + [2 * _CHUNK, 3 * _CHUNK]
         for edge in edges:
             for n in sorted({*range(edge - 40, edge + 41), *range(2 * edge - 40, 2 * edge + 41)}):
                 if n >= 3:
-                    assert self.counts(census_exact(n, factorize(n))) == \
-                        self.counts(census_brute_force(n)), n
+                    assert counts(census_exact(n, factorize(n))) == \
+                        counts(census_brute_force(n)), n
 
     def test_matches_brute_force_where_the_sweep_changes_shape(self):
         # a sieving prime q joins the sweep at top = q^2, and the sweep of p
@@ -246,8 +282,8 @@ class TestCensusExact:
                  for d in range(-3, 4)}
         ns = {2 * top + 1 for top in tops} | {top + 1 for top in tops if top % 2}
         for n in sorted(n for n in ns if n >= 3):
-            assert self.counts(census_exact(n, factorize(n))) == \
-                self.counts(census_brute_force(n)), n
+            assert counts(census_exact(n, factorize(n))) == \
+                counts(census_brute_force(n)), n
 
     # the four Carmichael numbers of the benchmark band, the largest odd n
     # under the cap, and the largest Carmichael number below 10^7; each
@@ -257,7 +293,7 @@ class TestCensusExact:
     @pytest.mark.parametrize("n", [2433601, 2455921, 2508013, 2531845, 10**7 - 1, 9890881,
                                    3**14, 7**8, 2**23, 9 * 25 * 49 * 121, 2 * 3**13, 10**7])
     def test_matches_brute_force_at_large_n(self, n):
-        assert self.counts(census_exact(n, factorize(n))) == self.counts(census_brute_force(n))
+        assert counts(census_exact(n, factorize(n))) == counts(census_brute_force(n))
 
     def test_no_coprime_witness_for_primes_and_carmichaels(self):
         # every input the totient-only census accepted: count_A = phi(n)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -14,8 +15,8 @@ import pytest
 import carmlab
 import carmlab.cli
 from carmlab.bench import DEFAULT_BIT_LENGTHS, composite_for_bits
-from carmlab.cli import (_MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_int,
-                         build_parser, main)
+from carmlab.cli import (_MAX_INPUT_BITS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_fraction,
+                         _parse_int, build_parser, main)
 from carmlab.detector import DEFAULT_THRESHOLD
 from carmlab.reproduce import HIGH_WITNESS_CATALOG
 from carmlab.schemas import SCHEMAS
@@ -466,6 +467,44 @@ class TestIntegerParsing:
             main(["census", "nan"])
         assert exit_info.value.code == EXIT_USAGE
         assert "'nan' is not an integer" in capsys.readouterr().err
+
+    def test_decimal_past_float_range_keeps_its_hint(self):
+        # float() reads these as inf, but they spell integers, unlike nan and inf
+        for text in ("1e400", "-1e400"):
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match="exceeds exact float range; write the integer out"):
+                _parse_int(text)
+        for text in ("nan", "inf", "-inf", "Infinity"):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"'{text}' is not an integer"):
+                _parse_int(text)
+
+    def test_huge_decimal_scale_refused_fast(self, capsys):
+        for option in ("--threshold", "--fraction-a"):
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as exit_info:
+                main(["model", "--bits", "64", option, "1e-10000000"])
+            assert time.perf_counter() - start < 0.1
+            assert exit_info.value.code == EXIT_USAGE
+            assert (f"argument {option}: value must have at most 4000 decimal places and an "
+                    "exponent of at most 4000, got '1e-10000000'") in capsys.readouterr().err
+        for text in ("9/20", "0.45", "4.5e-1"):
+            assert _parse_fraction(text) == Fraction(9, 20)
+
+    def test_threshold_past_the_decimal_scale_is_a_usage_error(self, capsys):
+        # its 5,001-digit denominator could not be written into the verdict
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "561", "--t", "40", "--threshold", "1e-5000"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "value must have at most 4000 decimal places" in capsys.readouterr().err
+        assert main(["classify", "561", "--t", "40", "--threshold", "1e-4000"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["threshold"] == "1/1" + "0" * 4000
+
+    def test_not_a_rational_is_a_usage_error(self, capsys):
+        for text in ("abc", "1/0", "nan"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["model", "--bits", "64", "--threshold", text])
+            assert exit_info.value.code == EXIT_USAGE
+            assert f"value must be a rational, got {text!r}" in capsys.readouterr().err
 
     def test_power_size_checked_before_computing(self, capsys):
         assert _parse_int("2**1024") == 1 << 1024

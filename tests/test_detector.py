@@ -194,7 +194,7 @@ class TestGeneralDetector:
             "360096ac7913bd7f245c5f515e2a9c1cc8c5aec5bdb275c9fa0e8716e20d1391"
 
     def test_prime_makes_no_draws(self, monkeypatch):
-        def no_draws(n, t, rng):
+        def no_draws(n, t, rng, check):
             raise AssertionError(f"drew bases for the prime {n}")
         monkeypatch.setattr("carmlab.detector._sample_witnesses", no_draws)
         for n in (2, 3, 1009, 2**128 - 159):

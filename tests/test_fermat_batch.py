@@ -20,12 +20,18 @@ from carmlab.detector import (_BATCH, _BATCH_MAX_BITS, _BATCH_MIN, _LIMB_BITS, D
                               _base_limbs, _fermat_liars, _limb_count, _product_tree,
                               _sample_witnesses, _to_limbs, default_sample_size,
                               detect_carmichael_general)
+from carmlab.factoring import prime_check
 from carmlab.korselt import chernick
 from carmlab.randutil import uniform_below
 
 
+def sample(n: int, t: int, seed: int) -> list[int]:
+    """_sample_witnesses of n on Random(seed), given prime_check(n) as the detector gives it."""
+    return _sample_witnesses(n, t, random.Random(seed), prime_check(n))
+
+
 def fermat_witnesses(n: int, t: int, seed: int) -> list[int]:
-    """The draws a of _sample_witnesses(n, t, Random(seed)) with a^(n-1) != 1 mod n."""
+    """The draws a of sample(n, t, seed) with a^(n-1) != 1 mod n."""
     rng = random.Random(seed)
     draws = [1 + uniform_below(rng, n - 1) for _ in range(t)]
     return [a for a in draws if pow(a, n - 1, n) != 1]
@@ -173,8 +179,7 @@ class TestBatches:
     @pytest.mark.parametrize("batch", [_BATCH - 1, _BATCH, _BATCH + 1])
     def test_around_one_batch(self, batch):
         t = 1 + batch
-        assert _sample_witnesses(SEMIPRIME_64, t, random.Random(3)) == \
-            fermat_witnesses(SEMIPRIME_64, t, 3)
+        assert sample(SEMIPRIME_64, t, 3) == fermat_witnesses(SEMIPRIME_64, t, 3)
 
     @pytest.mark.parametrize("batch, pows", [
         (_BATCH_MIN - 1, _BATCH_MIN),  # the proof attempt's pow, then one per draw
@@ -184,37 +189,36 @@ class TestBatches:
     ])
     def test_batch_size_boundary(self, batch, pows):
         t = 1 + batch
-        assert detector_calls(pow, _sample_witnesses, SEMIPRIME_64, t, random.Random(4)) == pows
-        assert _sample_witnesses(SEMIPRIME_64, t, random.Random(4)) == \
-            fermat_witnesses(SEMIPRIME_64, t, 4)
+        assert detector_calls(pow, sample, SEMIPRIME_64, t, 4) == pows
+        assert sample(SEMIPRIME_64, t, 4) == fermat_witnesses(SEMIPRIME_64, t, 4)
 
     def test_even_n_pays_one_pow_per_draw(self):
         n, t = 2 * SEMIPRIME_64, 1 + _BATCH_MIN
-        assert detector_calls(pow, _sample_witnesses, n, t, random.Random(6)) == t
-        assert _sample_witnesses(n, t, random.Random(6)) == fermat_witnesses(n, t, 6)
+        assert detector_calls(pow, sample, n, t, 6) == t
+        assert sample(n, t, 6) == fermat_witnesses(n, t, 6)
 
     @pytest.mark.parametrize("bits, routed", [(_BATCH_MAX_BITS, True),
                                               (_BATCH_MAX_BITS + 1, False)])
     def test_modulus_size_boundary(self, bits, routed):
         # odd and composite; the proof attempt ends within 20 draws on this seed
         n, t = (1 << bits) - 1, _BATCH_MIN + 20
-        pows = detector_calls(pow, _sample_witnesses, n, t, random.Random(8))
+        pows = detector_calls(pow, sample, n, t, 8)
         assert (pows < t) is routed
-        assert _sample_witnesses(n, t, random.Random(8)) == fermat_witnesses(n, t, 8)
+        assert sample(n, t, 8) == fermat_witnesses(n, t, 8)
 
 
 class TestProvenCarmichael:
     def test_draws_sharing_a_factor_are_found(self):
         # every batch of 561's draws holds multiples of 3, 11 or 17
         t = 2 * _BATCH + 3
-        assert _sample_witnesses(561, t, random.Random(1)) == fermat_witnesses(561, t, 1)
+        assert sample(561, t, 1) == fermat_witnesses(561, t, 1)
 
     def test_coprime_batches_cost_one_gcd(self):
         n = chernick(640341253625)
         t = default_sample_size(n)
-        assert _sample_witnesses(n, t, random.Random(2)) == fermat_witnesses(n, t, 2) == []
+        assert sample(n, t, 2) == fermat_witnesses(n, t, 2) == []
         # one per draw would be 7,871
-        assert detector_calls(math.gcd, _sample_witnesses, n, t, random.Random(2)) < 100
+        assert detector_calls(math.gcd, sample, n, t, 2) < 100
 
 
 # Verdicts at the default t before the batch test existed: (label, t,
@@ -234,7 +238,7 @@ RECORDED = {
         ("OtherComposite", 7821, 3918, (122003312826609799601279071269261048902, 1)),
 }
 
-# sha256 over ",".join of the witnesses of _sample_witnesses(n, t, Random(0))
+# sha256 over ",".join of the witnesses of sample(n, t, 0)
 # at the default t, recorded the same way, for the two p(2p - 1)
 RECORDED_WITNESS_DIGESTS = {
     10529473796631697753: "64bd191cceacc24c71509c001b78a448857a94186da58de8a69ded0975bdefc1",
@@ -252,6 +256,6 @@ def test_recorded_verdicts(n, seed):
 
 @pytest.mark.parametrize("n", RECORDED_WITNESS_DIGESTS)
 def test_recorded_witness_lists(n):
-    witnesses = _sample_witnesses(n, default_sample_size(n), random.Random(0))
+    witnesses = sample(n, default_sample_size(n), 0)
     digest = hashlib.sha256(",".join(map(str, witnesses)).encode()).hexdigest()
     assert digest == RECORDED_WITNESS_DIGESTS[n]

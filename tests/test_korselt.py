@@ -437,7 +437,8 @@ class TestRationalArguments:
 
     @pytest.mark.parametrize("fn, name, args, kept", CALLS)
     def test_exact_fraction_kept(self, fn, name, args, kept):
-        values = [Fraction(9, 20), 0.45, np.float64(0.45), Decimal("0.45"), "9/20"]
+        values = [Fraction(9, 20), 0.45, np.float64(0.45), Decimal("0.45"), "9/20",
+                  Decimal("4.5e-1"), "4.5e-1", " 45E-2 "]
         if name in self.INTEGER:
             values.append(self.INTEGER[name])
         for value in values:
@@ -461,6 +462,26 @@ class TestRationalArguments:
         for value, message in refusals.items():
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 fn(*args(value))
+
+    @pytest.mark.parametrize("fn, name, args, kept", CALLS)
+    def test_huge_decimal_scale_refused_fast(self, fn, name, args, kept):
+        # Fraction() would build 10^(10^7) first, which takes seconds
+        for value in ("1e-10000000", "-1E+10_000_000 ", Decimal("1e-10000000"),
+                      "1e-" + "9" * 5000, "4.5e-10001", "1e-4001", "1e4001",
+                      "0." + "0" * 4000 + "1", "0." + "0" * 3999 + "1e-1", Decimal("1e-4001")):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"^{re.escape(name)} must have at most 4000 "
+                                                  "decimal places and an exponent of at most "
+                                                  "4000"):
+                fn(*args(value))
+            assert time.perf_counter() - start < 0.1
+
+    def test_decimal_scale_at_the_bound_is_written_out(self):
+        # a denominator of 10^4000 has 4,001 digits, within str()'s 4,300
+        for value in ("1e-4000", "0." + "0" * 3999 + "1", "0.1e-3999", Decimal("1e-4000")):
+            threshold = DetectorConfig(threshold=value).threshold
+            assert threshold == Fraction(1, 10**4000)
+            assert str(threshold) == "1/1" + "0" * 4000
 
     def test_numpy_integers_give_python_ints(self):
         # Fraction(np.int64(1)) keeps a numpy numerator, which overflowed

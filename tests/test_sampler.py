@@ -18,7 +18,7 @@ from carmlab import accuracy, detector
 from carmlab.accuracy import empirical_proportion_distribution
 from carmlab.detector import (_BATCH, _BATCH_MIN, DetectorConfig, Label, _sample_witnesses,
                               _uniform_words, default_sample_size, detect_carmichael_general)
-from carmlab.factoring import DETERMINISTIC_WITNESS_BOUND, factorize
+from carmlab.factoring import DETERMINISTIC_WITNESS_BOUND, factorize, prime_check
 from carmlab.korselt import chernick, enumerate_carmichael
 from carmlab.randutil import uniform_below
 
@@ -34,7 +34,7 @@ SEMIPRIME_128 = 240675183209732824508913163728904131481
 P_2P_MINUS_1_128 = 255817307947078983013463192536477294453
 
 
-def reference_sample_witnesses(n, t, rng):
+def reference_sample_witnesses(n, t, rng, check):
     exponent = n - 1
     witnesses = []
     for _ in range(t):
@@ -46,7 +46,8 @@ def reference_sample_witnesses(n, t, rng):
 
 def assert_same_draws(n, t, seed):
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    assert _sample_witnesses(n, t, rng) == reference_sample_witnesses(n, t, reference_rng), \
+    assert _sample_witnesses(n, t, rng, prime_check(n)) == \
+        reference_sample_witnesses(n, t, reference_rng, prime_check(n)), \
         (n, t, seed)
     assert rng.getstate() == reference_rng.getstate(), (n, t, seed)
 
@@ -176,6 +177,36 @@ def test_batched_branches(n, t, branches):
         for seed in (0, 1):
             assert_same_draws(n, t, seed)
     assert called == branches
+
+
+def prime_checks_of(n, run):
+    """How often run() primality-checks n itself, through the detector or the histogram."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return prime_check(m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector, "prime_check", counted)
+        patch.setattr(accuracy, "prime_check", counted)
+        run()
+    return calls.count(n)
+
+
+# seeds whose first draw does not split n, so the proof attempt meets n unsplit
+@pytest.mark.parametrize("n, seed", [(10585, 1), (10585, 17), (10585, 29),
+                                     (chernick(640341253625), 22), (chernick(640341253625), 25)])
+def test_verdict_checks_n_once(n, seed):
+    cfg = DetectorConfig(t_override=40, rng_seed=seed)
+    assert prime_checks_of(n, lambda: detect_carmichael_general(n, cfg)) == 1
+    assert_same_verdict(detect_carmichael_general, n, cfg)
+
+
+@pytest.mark.parametrize("n", [561, 10585, chernick(242396), chernick(640341253625)])
+def test_histogram_checks_n_once(n):
+    assert prime_checks_of(n, lambda: empirical_proportion_distribution(
+        n, t=20, trials=10, seed=1)) == 1
 
 
 @pytest.mark.parametrize("n", [561, 1105, CHERNICK_128, SEMIPRIME_128])
