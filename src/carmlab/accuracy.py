@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .detector import DEFAULT_THRESHOLD, DetectorConfig, _sample_witnesses
+from .detector import DEFAULT_THRESHOLD, DetectorConfig, _proves_carmichael, _sample_witnesses
 from .errors import CapExceededError, DomainError, integer, rational
 from .factoring import Factorization, prime_check
 
@@ -204,8 +204,9 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
     """Draw `trials` independent t-base samples and histogram the witness
     proportion of each.
 
-    Each trial is one call of the detector's sampler, all on a single
-    random.Random(seed) stream; t defaults to the detector's floor((ln n)^2).
+    n is tried once for the detector's Carmichael proof, and each trial is
+    one call of its sampler, all on a single random.Random(seed) stream; t
+    defaults to the detector's floor((ln n)^2).
     When a factorization of n is supplied, the histogram carries the exact
     census mean and the model standard deviation for comparison. More than
     HISTOGRAM_DRAW_CAP draws in all raise CapExceededError.
@@ -216,10 +217,10 @@ def empirical_proportion_distribution(n: int, factorization: Factorization | Non
         raise CapExceededError(f"t * trials = {t * trials} draws exceeds the cap of "
                                f"{HISTOGRAM_DRAW_CAP}")
     rng = random.Random(seed)
-    check = prime_check(n)
+    proven = _proves_carmichael(n, t, prime_check(n))
     counts = [0] * (t + 1)
     for _ in range(trials):
-        counts[len(_sample_witnesses(n, t, rng, check))] += 1
+        counts[len(_sample_witnesses(n, t, rng, proven))] += 1
     mean = sum(k * c for k, c in enumerate(counts)) / (t * trials)
     variance = sum(c * (k / t - mean) ** 2 for k, c in enumerate(counts))
     variance /= (trials - 1) if trials > 1 else 1

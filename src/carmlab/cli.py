@@ -7,8 +7,8 @@ the one emitter, `_emit`: JSON with the manifest embedded under --json or
 when the report has nothing else; CSV under --csv or when it has no text;
 else the text.  --output puts the same bytes in a file, and a CSV or text
 file gets the manifest as a `<file>.manifest.json` sidecar.  Exit codes
-are 0 on success, 2 for domain/usage errors, 3 for budget or cap errors,
-1 for anything unexpected.
+are 0 on success, 2 for domain/usage errors (an unwritable file among
+them), 3 for budget or cap errors, 1 for anything unexpected.
 
 Module level imports only the standard library and `carmlab.errors`; each
 handler imports the library modules it runs, so a command loads no module
@@ -129,10 +129,13 @@ def _emit(report: Report, args: argparse.Namespace) -> None:
     if not args.output:
         sys.stdout.write(body)
         return
-    Path(args.output).write_text(body)
-    if not as_json:
-        Path(args.output + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n")
+    try:
+        Path(args.output).write_text(body)
+        if not as_json:
+            Path(args.output + ".manifest.json").write_text(
+                json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {exc.filename or args.output}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------- census

@@ -13,29 +13,30 @@ either the marked proportion stays under the threshold (Carmichael) or the
 marked bases are scanned for one coprime to n (a non-trivial witness
 proves "other composite"; none found means Carmichael).
 
-The draws are tested so that they can prove n Carmichael on the way,
-without changing which bases are witnesses: with n - 1 = 2^s * d, each
-a^(n-1) is a^d squared s times, and gcds with a witness or with the liar
-chain's values minus one split n. Once its factors are proven primes and
-pass Korselt's criterion, a base is a Fermat witness exactly when
-gcd(a, n) > 1, and the remaining draws cost one gcd per batch: that of n
-with their product, which is 1 exactly when every draw is coprime.
+Before sampling, a composite n is tried for a proof that it is
+Carmichael (Miller 1976; Monier 1980) on at most t bases of its own
+random.Random(n), apart from the seeded stream, so a histogram proves n
+once: with n - 1 = 2^s * d, each a^(n-1) is a^d squared s times, and gcds
+with a witness or with the liar chain's values minus one split n. Once
+its factors are proven primes and pass Korselt's criterion, a draw is a
+Fermat witness exactly when gcd(a, n) > 1, so the t draws cost one gcd
+per batch: that of n with their product, 1 exactly when all are coprime.
 
-After the attempt, an odd n of at most _BATCH_MAX_BITS bits takes each
-batch of at least _BATCH_MIN draws as one block of Mersenne Twister words
-(Matsumoto and Nishimura 1998): one getrandbits call holds the candidates
-that per-draw rejection sampling would draw next, in order, and those
-rejected are made up by further calls. numpy rejects them, cuts the rest
-into 28-bit limbs and adds 1 without a Python int per draw, and the
-seeded stream ends where per-draw sampling leaves it. A proven n
-multiplies the block down by a tree of Montgomery products (Montgomery
-1985), whose factors 1/R do not change the gcd with n. Any other n tests
-the block with one Montgomery exponentiation over all its bases, with a
-sliding window over the exponent and a dedicated squaring. On a 2-CPU
-EPYC that exponentiation makes a 128-bit composite's verdict about 5.5
-times faster than one pow per draw, and the draws of a 1024-bit one
-about 2.7 times. Smaller batches, where numpy's per-call cost outweighs
-the lockstep, even n and n above _BATCH_MAX_BITS keep one draw and one
+An odd n of at most _BATCH_MAX_BITS bits takes each batch of at least
+_BATCH_MIN draws as one block of Mersenne Twister words (Matsumoto and
+Nishimura 1998): one getrandbits call holds the candidates that per-draw
+rejection sampling would draw next, in order, and those rejected are
+made up by further calls. numpy rejects them, cuts the rest into 28-bit
+limbs and adds 1 without a Python int per draw, and the seeded stream
+ends where per-draw sampling leaves it. A proven n multiplies the block
+down by a tree of Montgomery products (Montgomery 1985), whose factors
+1/R do not change the gcd with n. Any other n tests the block with one
+Montgomery exponentiation over all its bases, with a sliding window over
+the exponent and a dedicated squaring. On a 2-CPU EPYC that
+exponentiation makes a 128-bit composite's verdict about 5.5 times
+faster than one pow per draw, and the draws of a 1024-bit one about 2.7
+times. Smaller batches, where numpy's per-call cost outweighs the
+lockstep, even n and n above _BATCH_MAX_BITS keep one draw and one
 pow or one multiplication per base. numpy is imported by the block path
 alone.
 """
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -61,16 +61,16 @@ if TYPE_CHECKING:
 
 DEFAULT_THRESHOLD = Fraction(45, 100)
 
-# The draws after the proof attempt are taken _BATCH at a time, which bounds
-# the memory of a batch test: at _BATCH_MAX_BITS, k = 37 limbs, its table of
-# odd powers is 8 * k * 8,192 words (19 MB) and the whole test peaks near
-# 40 MB. Below _BATCH_MIN bases numpy's per-call cost loses to one pow per
-# base. Both were read off the kernel-against-pow table in BENCH_21.json,
-# not tuned end to end. At 512 bases the batch test is 1.2-2.0 times as
-# fast as pow from 16 to 2048 bits, and at 256 it loses at 16 bits and
-# from 128 to 512. Full batches are 2.7 times as fast at 1024 bits and 2.4
-# at 2048, but no larger n is routed: 1024 bits is the top of the sizes the
-# detector is measured at, and a 2048-bit batch needs twice the memory.
+# The draws are taken _BATCH at a time, which bounds the memory of a batch
+# test: at _BATCH_MAX_BITS, k = 37 limbs, its table of odd powers is 8 * k *
+# 8,192 words (19 MB) and the whole test peaks near 40 MB. Below _BATCH_MIN
+# bases numpy's per-call cost loses to one pow per base. Both were read off
+# the kernel-against-pow table in BENCH_21.json, not tuned end to end. At 512
+# bases the batch test is 1.2-2.0 times as fast as pow from 16 to 2048 bits,
+# and at 256 it loses at 16 bits and from 128 to 512. Full batches are 2.7
+# times as fast at 1024 bits and 2.4 at 2048, but no larger n is routed: 1024
+# bits is the top of the sizes the detector is measured at, and a 2048-bit
+# batch needs twice the memory.
 _BATCH = 8192
 _BATCH_MIN = 512
 _BATCH_MAX_BITS = 1024
@@ -154,35 +154,24 @@ class Verdict:
                 "seed": self.seed, "probabilistic": self.probabilistic}
 
 
-def _sample_witnesses(n: int, t: int, rng: random.Random, check: PrimalityCheck) -> list[int]:
-    """The Fermat witnesses among t bases drawn from {1, ..., n-1} on rng;
-    the detector and the accuracy histogram both sample through it.
+def _sample_witnesses(n: int, t: int, rng: random.Random, proven: bool) -> list[int]:
+    """The Fermat witnesses, in draw order, among t bases drawn from
+    {1, ..., n-1} on rng, which ends where t calls of uniform_below leave
+    it; the detector and the accuracy histogram both sample through it.
+    proven is _proves_carmichael's answer for n.
 
-    The first draws go to _proves_carmichael, one uniform_below each, with
-    check, the caller's prime_check(n). The remaining draws
-    are then taken _BATCH at a time. When n is odd with at most
-    _BATCH_MAX_BITS bits and a batch holds at least _BATCH_MIN draws,
-    _uniform_words draws it as one block of Mersenne Twister words, which
-    become numpy limbs without a Python int per draw. If n was proven
-    Carmichael, a base is a witness exactly when it shares a factor with n:
-    the block is multiplied down by _product_tree, gcd(product, n) = 1
-    exactly when every base is coprime to n, and only a block failing that
-    is rescanned one gcd per base. Otherwise _fermat_liars tests the block,
-    and only its witnesses become Python ints. A smaller batch, an even n
-    or one above _BATCH_MAX_BITS bits draws one uniform_below per base and
-    needs one multiplication mod n (proven) or one pow per base. Either way
-    the witnesses are the same, in draw order, and rng ends where t calls
-    of uniform_below leave it.
+    The draws are taken _BATCH at a time. An odd n of at most
+    _BATCH_MAX_BITS bits draws a batch of at least _BATCH_MIN as one block
+    of _uniform_words, without a Python int per draw. Its witnesses are
+    those _fermat_liars finds or, when n is proven, the bases sharing a
+    factor with n, rescanned one gcd per base only when the block's
+    _product_tree shares one. Any other batch draws one uniform_below per
+    base and needs one pow, or one multiplication mod n if proven, each.
     """
-    order = iter(range(t))
     witnesses: list[int] = []
-    proven = _proves_carmichael(n, (1 + uniform_below(rng, n - 1) for _ in order), witnesses,
-                                check)
-    left = t - next(order, t)  # the draws the proof attempt did not make
     routed = n % 2 and n.bit_length() <= _BATCH_MAX_BITS
-    while left:
-        size = min(left, _BATCH)
-        left -= size
+    for start in range(0, t, _BATCH):
+        size = min(t - start, _BATCH)
         if routed and size >= _BATCH_MIN:
             words = _uniform_words(rng, n - 1, size)
             limbs = _base_limbs(words, _limb_count(n))
@@ -445,10 +434,10 @@ def _columns(limbs: np.ndarray) -> list[int]:
     return values
 
 
-def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int],
-                       check: PrimalityCheck) -> bool:
-    """Fermat-test draws until they prove n Carmichael (True) or show that
-    they cannot (False), appending the witnesses met on the way.
+def _proves_carmichael(n: int, t: int, check: PrimalityCheck) -> bool:
+    """Whether Fermat tests of at most t bases drawn from random.Random(n)
+    prove n Carmichael. The bases depend on n alone, so the answer does not
+    change from call to call, and no caller's stream is read.
 
     With n - 1 = 2^s * d, a^(n-1) is computed as a^d squared s times. A
     witness sharing no factor with n proves n is not Carmichael. Otherwise
@@ -461,18 +450,19 @@ def _proves_carmichael(n: int, draws: Iterator[int], witnesses: list[int],
     prime ends the attempt, and so does a prime n, on its first draw.
     check is prime_check(n), which is then not made again.
     """
+    rng = random.Random(n)
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     factors = [n]
     checks = {n: check}
-    for a in draws:
+    for _ in range(t):
+        a = 1 + uniform_below(rng, n - 1)
         x = pow(a, d, n)
         splitters = [x - 1]
         for _ in range(s):
             x = x * x % n
             splitters.append(x - 1)
         if x != 1:
-            witnesses.append(a)
             g = math.gcd(a, n)
             if g == 1:
                 return False
@@ -516,7 +506,8 @@ def detect_carmichael_general(n: int, cfg: DetectorConfig | None = None) -> Verd
     if check.is_prime:
         basis = Basis.PROBABLE_PRIME if check.probabilistic else Basis.DETERMINISTIC_PRIMALITY
         return Verdict(label=Label.PRIME, basis=basis, witnesses_found=0, evidence=None, **common)
-    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed), check)
+    proven = _proves_carmichael(n, t, check)
+    witnesses = _sample_witnesses(n, t, random.Random(cfg.rng_seed), proven)
     common["witnesses_found"] = len(witnesses)
     if Fraction(len(witnesses), t) < cfg.threshold:
         return Verdict(label=Label.CARMICHAEL, basis=Basis.PROPORTION_BELOW_THRESHOLD,

@@ -1,7 +1,7 @@
 """Shared exception types and the one argument check for each numeric kind.
 
 Integer arguments accept ints and numpy integers, rational ones whatever Fraction()
-converts; anything else, or a value out of bounds, raises DomainError naming the argument.
+converts; a bool, anything else or a value out of bounds raises DomainError naming it.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ def _scale_too_large(value) -> bool:
 
 def _gate(name: str, kind: str, convert, value, low, high):
     try:
+        if isinstance(value, bool):  # an int subclass, but never a count or a share
+            raise TypeError
         value = convert(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(f"{name} must be {kind}, got {value!r}") from None

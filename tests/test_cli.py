@@ -193,6 +193,17 @@ class TestCensusCommand:
         jsonschema.validate(sidecar, SCHEMAS["manifest"])
         assert sidecar["parameters"]["csv"] == "True"
 
+    @pytest.mark.parametrize("target, failed, reason", [
+        ("missing/census.txt", "missing/census.txt", "No such file or directory"),
+        ("", "", "Is a directory"),
+        ("census.txt", "census.txt.manifest.json", "Is a directory"),  # the sidecar's path
+    ])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, target, failed, reason):
+        (tmp_path / "census.txt.manifest.json").mkdir()
+        code, out, err = run(capsys, "census", "21", "--output", str(tmp_path / target))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: cannot write {tmp_path / failed}: {reason}\n"
+
 
 class TestClassifyCommand:
     def test_carmichael(self, capsys):

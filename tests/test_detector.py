@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from carmlab.detector import (Basis, DetectorConfig, Label, Verdict,
@@ -26,8 +27,10 @@ class TestConfig:
             DetectorConfig(t_override=1.5)
 
     def test_inputs_are_normalised(self):
-        cfg = DetectorConfig(t_override=True, threshold=0.45)
+        cfg = DetectorConfig(t_override=np.int64(1), threshold=0.45)
         assert type(cfg.t_override) is int and cfg.t_override == 1
+        with pytest.raises(DomainError, match="t must be an integer, got True"):
+            DetectorConfig(t_override=True)
         assert cfg.threshold == Fraction(0.45)
         assert DetectorConfig(threshold="9/20").threshold == Fraction(9, 20)
         for thr in ("abc", float("nan"), float("inf"), None):
@@ -194,7 +197,7 @@ class TestGeneralDetector:
             "360096ac7913bd7f245c5f515e2a9c1cc8c5aec5bdb275c9fa0e8716e20d1391"
 
     def test_prime_makes_no_draws(self, monkeypatch):
-        def no_draws(n, t, rng, check):
+        def no_draws(n, t, rng, proven):
             raise AssertionError(f"drew bases for the prime {n}")
         monkeypatch.setattr("carmlab.detector._sample_witnesses", no_draws)
         for n in (2, 3, 1009, 2**128 - 159):

@@ -3,7 +3,9 @@
 _fermat_liars is checked against pow(a, n - 1, n) == 1 whatever the
 dispatch in _sample_witnesses would choose; the sampler is checked against
 the definition of its output, the Fermat witnesses among its draws in
-draw order, on each side of every dispatch boundary.
+draw order, on each side of every dispatch boundary. The Carmichael proof
+runs first, on draws of its own, so a pow count below is the proof
+attempt's pows and then the sample's.
 """
 
 import hashlib
@@ -18,16 +20,17 @@ from hypothesis import strategies as st
 
 from carmlab.detector import (_BATCH, _BATCH_MAX_BITS, _BATCH_MIN, _LIMB_BITS, DetectorConfig,
                               _base_limbs, _fermat_liars, _limb_count, _product_tree,
-                              _sample_witnesses, _to_limbs, default_sample_size,
-                              detect_carmichael_general)
+                              _proves_carmichael, _sample_witnesses, _to_limbs,
+                              default_sample_size, detect_carmichael_general)
 from carmlab.factoring import prime_check
 from carmlab.korselt import chernick
 from carmlab.randutil import uniform_below
 
 
 def sample(n: int, t: int, seed: int) -> list[int]:
-    """_sample_witnesses of n on Random(seed), given prime_check(n) as the detector gives it."""
-    return _sample_witnesses(n, t, random.Random(seed), prime_check(n))
+    """_sample_witnesses of n on Random(seed), given proven as the detector gives it."""
+    proven = _proves_carmichael(n, t, prime_check(n))
+    return _sample_witnesses(n, t, random.Random(seed), proven)
 
 
 def fermat_witnesses(n: int, t: int, seed: int) -> list[int]:
@@ -176,31 +179,33 @@ SEMIPRIME_64 = 12186276502464459599
 
 
 class TestBatches:
-    @pytest.mark.parametrize("batch", [_BATCH - 1, _BATCH, _BATCH + 1])
-    def test_around_one_batch(self, batch):
-        t = 1 + batch
+    @pytest.mark.parametrize("t", [_BATCH - 1, _BATCH, _BATCH + 1])
+    def test_around_one_batch(self, t):
         assert sample(SEMIPRIME_64, t, 3) == fermat_witnesses(SEMIPRIME_64, t, 3)
 
-    @pytest.mark.parametrize("batch, pows", [
-        (_BATCH_MIN - 1, _BATCH_MIN),  # the proof attempt's pow, then one per draw
+    @pytest.mark.parametrize("t, pows", [
+        (_BATCH_MIN - 1, 1 + _BATCH_MIN - 1),  # the proof attempt's pow, then one per draw
         (_BATCH_MIN, 1),
-        (_BATCH + _BATCH_MIN - 1, 1 + _BATCH_MIN - 1),  # a short last batch pays pow
-        (2 * _BATCH, 1),
+        (_BATCH, 1),
+        (_BATCH + 1, 1 + 1),  # a last batch of one draw pays pow
+        (_BATCH + _BATCH_MIN - 1, 1 + _BATCH_MIN - 1),
+        (_BATCH + _BATCH_MIN, 1),
     ])
-    def test_batch_size_boundary(self, batch, pows):
-        t = 1 + batch
+    def test_batch_size_boundary(self, t, pows):
         assert detector_calls(pow, sample, SEMIPRIME_64, t, 4) == pows
         assert sample(SEMIPRIME_64, t, 4) == fermat_witnesses(SEMIPRIME_64, t, 4)
 
     def test_even_n_pays_one_pow_per_draw(self):
+        # and one for the proof attempt, whose first draw is a coprime witness
         n, t = 2 * SEMIPRIME_64, 1 + _BATCH_MIN
-        assert detector_calls(pow, sample, n, t, 6) == t
+        assert detector_calls(pow, sample, n, t, 6) == 1 + t
         assert sample(n, t, 6) == fermat_witnesses(n, t, 6)
 
     @pytest.mark.parametrize("bits, routed", [(_BATCH_MAX_BITS, True),
                                               (_BATCH_MAX_BITS + 1, False)])
     def test_modulus_size_boundary(self, bits, routed):
-        # odd and composite; the proof attempt ends within 20 draws on this seed
+        # odd and composite; routed, the draws are one block and only the
+        # proof attempt pays pow, within its first 20 draws
         n, t = (1 << bits) - 1, _BATCH_MIN + 20
         pows = detector_calls(pow, sample, n, t, 8)
         assert (pows < t) is routed

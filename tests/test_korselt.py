@@ -365,7 +365,7 @@ class TestIntegerArguments:
     # 600 is not prime, and 600 timing repeats would take seconds
     ACCEPTED = {"factor": 601, "repeats": 1}
 
-    @pytest.mark.parametrize("value", [600.0, "600"])
+    @pytest.mark.parametrize("value", [600.0, "600", True, False])
     @pytest.mark.parametrize("fn, name, args", CALLS)
     def test_non_integers_rejected(self, fn, name, args, value):
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
@@ -425,7 +425,7 @@ class TestRationalArguments:
     INTEGER = {"fraction_A": 0, "fraction_B": 0, "witness_fraction": 1}
 
     @pytest.mark.parametrize("value", ["abc", float("nan"), float("inf"), float("-inf"),
-                                       "1/0", np.float32(0.25), None])
+                                       "1/0", np.float32(0.25), None, True, False])
     @pytest.mark.parametrize("fn, name, args, kept", CALLS)
     def test_non_rationals_rejected(self, fn, name, args, kept, value):
         if value is None and name.startswith("fraction_"):  # the default, the worst case

@@ -1,8 +1,10 @@
 """The detector's sampler against the plain Fermat loop it replaces.
 
-_sample_witnesses proves a Carmichael number from its first draws and then
-counts witnesses by gcd. Seeded verdicts and histograms must be those of
-one pow(a, n - 1, n) per draw, and the seeded stream must advance as far.
+_proves_carmichael tries to prove n Carmichael on bases of its own
+Random(n), once per verdict or histogram, and _sample_witnesses then counts
+the witnesses of a proven n by gcd. Seeded verdicts and histograms must be
+those of one pow(a, n - 1, n) per draw, and the seeded stream must advance
+as far.
 Batches of at least _BATCH_MIN draws are drawn as blocks of words by
 _uniform_words, which must yield uniform_below's values and leave the
 stream where as many uniform_below calls leave it.
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from carmlab import accuracy, detector
 from carmlab.accuracy import empirical_proportion_distribution
-from carmlab.detector import (_BATCH, _BATCH_MIN, DetectorConfig, Label, _sample_witnesses,
-                              _uniform_words, default_sample_size, detect_carmichael_general)
+from carmlab.detector import (_BATCH, _BATCH_MIN, DetectorConfig, Label, _proves_carmichael,
+                              _sample_witnesses, _uniform_words, default_sample_size,
+                              detect_carmichael_general)
 from carmlab.factoring import DETERMINISTIC_WITNESS_BOUND, factorize, prime_check
 from carmlab.korselt import chernick, enumerate_carmichael
 from carmlab.randutil import uniform_below
@@ -34,7 +37,7 @@ SEMIPRIME_128 = 240675183209732824508913163728904131481
 P_2P_MINUS_1_128 = 255817307947078983013463192536477294453
 
 
-def reference_sample_witnesses(n, t, rng, check):
+def reference_sample_witnesses(n, t, rng, proven):
     exponent = n - 1
     witnesses = []
     for _ in range(t):
@@ -46,9 +49,9 @@ def reference_sample_witnesses(n, t, rng, check):
 
 def assert_same_draws(n, t, seed):
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    assert _sample_witnesses(n, t, rng, prime_check(n)) == \
-        reference_sample_witnesses(n, t, reference_rng, prime_check(n)), \
-        (n, t, seed)
+    proven = _proves_carmichael(n, t, prime_check(n))
+    assert _sample_witnesses(n, t, rng, proven) == \
+        reference_sample_witnesses(n, t, reference_rng, proven), (n, t, seed)
     assert rng.getstate() == reference_rng.getstate(), (n, t, seed)
 
 
@@ -85,7 +88,7 @@ def test_chernick_numbers(m):
 @pytest.mark.parametrize("n", [1009, 2**61 - 1, 2**127 - 1])
 def test_prime_handed_to_the_sampler(n):
     # the detector labels a prime without drawing, but a histogram of a
-    # prime draws: its first draw ends the proof attempt
+    # prime draws: the proof attempt ends on its first draw, unproven
     for seed in (0, 5):
         assert_same_draws(n, 40, seed)
 
@@ -179,23 +182,31 @@ def test_batched_branches(n, t, branches):
     assert called == branches
 
 
-def prime_checks_of(n, run):
-    """How often run() primality-checks n itself, through the detector or the histogram."""
-    calls = []
+def calls_of(name, run):
+    """The first argument of each call run() makes to the function name,
+    through the detector or the histogram."""
+    calls, original = [], getattr(detector, name)
 
-    def counted(m):
-        calls.append(m)
-        return prime_check(m)
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(detector, "prime_check", counted)
-        patch.setattr(accuracy, "prime_check", counted)
+        patch.setattr(detector, name, counted)
+        patch.setattr(accuracy, name, counted)
         run()
-    return calls.count(n)
+    return calls
 
 
-# seeds whose first draw does not split n, so the proof attempt meets n unsplit
-@pytest.mark.parametrize("n, seed", [(10585, 1), (10585, 17), (10585, 29),
+def prime_checks_of(n, run):
+    """How often run() primality-checks n itself."""
+    return calls_of("prime_check", run).count(n)
+
+
+# 10585, 15841 and 52633 are the Carmichael numbers to 10^5 that the proof
+# attempt's first draw from Random(n) does not split, so that it meets n
+# unsplit; the seed moves the sample alone
+@pytest.mark.parametrize("n, seed", [(10585, 1), (15841, 17), (52633, 29),
                                      (chernick(640341253625), 22), (chernick(640341253625), 25)])
 def test_verdict_checks_n_once(n, seed):
     cfg = DetectorConfig(t_override=40, rng_seed=seed)
@@ -217,3 +228,50 @@ def test_histograms_of_batched_trials(n):
         patch.setattr(accuracy, "_sample_witnesses", reference_sample_witnesses)
         want = empirical_proportion_distribution(n, t=_BATCH_MIN + 88, trials=4, seed=11)
     assert got.to_json_dict() == want.to_json_dict()
+
+
+class TestProof:
+    """_proves_carmichael on its own: its answer, and where it is called."""
+
+    def test_proves_every_carmichael_number_to_1e5(self):
+        for n in enumerate_carmichael(10**5):
+            assert _proves_carmichael(n, default_sample_size(n), prime_check(n)), n
+
+    @pytest.mark.parametrize("m", CHERNICK_M[:3])
+    def test_proves_chernick_numbers_of_65_to_129_bits(self, m):
+        n = chernick(m)
+        assert _proves_carmichael(n, default_sample_size(n), prime_check(n))
+
+    def test_proves_no_other_odd_composite_below_3000(self):
+        carmichael = set(enumerate_carmichael(3000))
+        for n in range(9, 3000, 2):
+            check = prime_check(n)
+            if not check.is_prime:
+                assert _proves_carmichael(n, default_sample_size(n), check) is (n in carmichael)
+
+    @pytest.mark.parametrize("n", [3, 1009, 2**61 - 1, 2**127 - 1])
+    def test_proves_no_prime(self, n):
+        assert not _proves_carmichael(n, default_sample_size(n), prime_check(n))
+
+    def test_probable_prime_factors_prove_nothing(self):
+        n = chernick(CHERNICK_M[-1])
+        assert not _proves_carmichael(n, default_sample_size(n), prime_check(n))
+
+    @pytest.mark.parametrize("n", [561, 10585, 91, chernick(CHERNICK_M[2])])
+    def test_same_answer_and_no_stream_touched(self, n):
+        t, check = default_sample_size(n), prime_check(n)
+        caller = random.Random(4)
+        states = caller.getstate(), random.getstate()
+        answers = {_proves_carmichael(n, t, check) for _ in range(3)}
+        assert len(answers) == 1
+        assert (caller.getstate(), random.getstate()) == states
+
+    @pytest.mark.parametrize("n", [91, 561, 1009, CHERNICK_128])
+    def test_a_histogram_proves_once(self, n):
+        assert calls_of("_proves_carmichael", lambda: empirical_proportion_distribution(
+            n, t=20, trials=10, seed=1)) == [n]
+
+    @pytest.mark.parametrize("n, proofs", [(1009, []), (2**127 - 1, []), (91, [91]),
+                                           (561, [561])])
+    def test_a_verdict_proves_once_and_a_prime_never(self, n, proofs):
+        assert calls_of("_proves_carmichael", lambda: detect_carmichael_general(n)) == proofs

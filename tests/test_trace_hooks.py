@@ -21,10 +21,11 @@ from carmlab.korselt import chernick
 pow_calls_by_module = functools.partial(builtin_calls_by_module, builtins.pow)
 
 
-# (n, t, seed) -> pow calls. 91 = 7 * 13 pays one pow per draw; the
-# Carmichael numbers 561 and 1105 pay one per draw only until their draws
-# prove them Carmichael, and a gcd per draw after that.
-COMPOSITE_POWMODS = {(91, 9, 0): 9, (561, 40, 3): 1, (1105, 5, 7): 2}
+# (n, t, seed) -> pow calls. 91 = 7 * 13 pays one pow for the proof
+# attempt's coprime witness and one per draw; the proof attempts of the
+# Carmichael numbers 561 and 1105 pay one pow each, and their draws a
+# product per draw after that.
+COMPOSITE_POWMODS = {(91, 9, 0): 10, (561, 40, 3): 1, (1105, 5, 7): 1}
 
 
 @pytest.mark.parametrize("n, t, seed", COMPOSITE_POWMODS)
@@ -35,9 +36,9 @@ def test_composite_verdict_powmods_come_from_the_detector(n, t, seed):
 
 
 def test_histogram_powmods_come_from_the_detector():
-    # four trials of five draws each; every trial proves 561 Carmichael anew
+    # four trials of five draws each; 561 is proven Carmichael once, before them
     counts = pow_calls_by_module(empirical_proportion_distribution, 561, t=5, trials=4)
-    assert counts == {"carmlab.detector": 8}
+    assert counts == {"carmlab.detector": 1}
 
 
 def test_chernick_verdict_at_the_default_t_makes_few_detector_powmods():
@@ -58,7 +59,7 @@ def test_chernick_verdict_proves_each_prime_factor_once():
 
 def test_semiprime_verdict_at_the_default_t_makes_only_the_proof_attempts_powmods():
     # 128 bits, t = 7,810: the proof attempt's first draw is a coprime
-    # witness, and the other draws go to the batch test, which makes no pow
+    # witness, and the draws go to the batch test, which makes no pow
     n = 240675183209732824508913163728904131481
     counts = pow_calls_by_module(detect_carmichael_general, n)
     assert counts["carmlab.detector"] <= 8
@@ -68,10 +69,11 @@ def test_semiprime_verdict_at_the_default_t_makes_only_the_proof_attempts_powmod
 
 def test_chernick_number_with_probable_prime_factors_pays_one_pow_per_draw():
     # 256 bits; its prime factors lie above DETERMINISTIC_WITNESS_BOUND, so
-    # no proof is attempted from them and every draw is a plain Fermat test
+    # the proof attempt ends on its first draw, which splits n into probable
+    # primes, and every one of the 64 draws is a plain Fermat test
     n = chernick(4470519183378038132861700)
     counts = pow_calls_by_module(detect_carmichael_general, n, DetectorConfig(t_override=64))
-    assert counts["carmlab.detector"] == 64
+    assert counts["carmlab.detector"] == 1 + 64
 
 
 @pytest.mark.parametrize("dotted", [
